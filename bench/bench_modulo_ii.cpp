@@ -112,14 +112,10 @@ struct JsonEntry
     CounterSet stats; ///< winning attempt's counters (last rep)
 };
 
-/** Failure-learning effort counters, grouped under "search"; the
- *  serial and parallel modes show the cross-attempt no-good reuse
- *  through the shared context (DESIGN.md section 5d). */
+/** Permutation-search effort of the winning attempt, grouped under
+ *  "search" (DESIGN.md section 5d). */
 const char *const kSearchCounters[] = {
-    "dfs_nodes",       "nogood_probes",  "nogood_hits",
-    "nogood_misses",   "nogood_inserts", "nogood_invalidations",
-    "nogood_evictions", "backjumps",     "backjump_levels_skipped",
-    "cbj_reruns",
+    "dfs_nodes",
 };
 
 double

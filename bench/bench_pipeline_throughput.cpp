@@ -81,7 +81,7 @@ buildPipelinedBatch(
 {
     std::vector<ScheduleJob> batch;
     for (const auto &[machineName, machine] : machines) {
-        if (machineName != "central" && machineName != "clustered2")
+        if (machineName != "Central" && machineName != "Clustered (2)")
             continue; // the cheap suite; clustered4/distributed are
                       // minutes of wall time per point
         for (const KernelSpec &spec : allKernels()) {
@@ -94,6 +94,7 @@ buildPipelinedBatch(
             batch.push_back(std::move(job));
         }
     }
+    CS_ASSERT(!batch.empty(), "pipelined batch matched no machine");
     return batch;
 }
 

@@ -157,14 +157,10 @@ const char *const kTrackedCounters[] = {
     "write_perm_bus_prechecks",
 };
 
-/** Failure-learning effort counters, grouped under "search" so the
- *  perf trajectory records how much work the no-good cache and the
- *  conflict-directed backjumper save (DESIGN.md section 5d). */
+/** Permutation-search effort, grouped under "search" so the perf
+ *  trajectory records the DFS size (DESIGN.md section 5d). */
 const char *const kSearchCounters[] = {
-    "dfs_nodes",       "nogood_probes",  "nogood_hits",
-    "nogood_misses",   "nogood_inserts", "nogood_invalidations",
-    "nogood_evictions", "backjumps",     "backjump_levels_skipped",
-    "cbj_reruns",
+    "dfs_nodes",
 };
 
 void

@@ -367,12 +367,6 @@ main(int argc, char **argv)
     };
     static const char *const kSearchCounters[] = {
         "dfs_nodes",
-        "nogood_probes",
-        "nogood_hits",
-        "nogood_misses",
-        "nogood_invalidations",
-        "backjumps",
-        "backjump_levels_skipped",
     };
     CounterSet iiStats;
     iiStats.bump("workers",

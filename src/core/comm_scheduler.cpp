@@ -303,21 +303,6 @@ BlockScheduler::run()
     ScheduleResult result{false, "", Kernel("moved-out"),
                           BlockSchedule(block_, ii_), CounterSet{}};
 
-    // Seed the local no-good cache from failures earlier attempts on
-    // this context published. Signatures are self-validating (see
-    // core/nogood.hpp), so a seeded entry can only convert a search
-    // that would fail anyway into an immediate failure — schedules
-    // are unaffected on any II, variant, or thread.
-    // (Restart mode seeds too even with cross-attempt sharing off:
-    // retained no-goods are what make the restarted run progress.)
-    if (options_.noGoodCache &&
-        (options_.crossAttemptNoGoods || options_.restartOnExplosion)) {
-        std::vector<std::uint64_t> seed;
-        ctx_->noGoods().snapshotInto(seed);
-        for (std::uint64_t sig : seed)
-            noGoods_.insert(sig);
-    }
-
     const std::vector<OperationId> &order =
         ctx_->scheduleOrder(options_.operationOrder);
     bool ok = true;
@@ -329,9 +314,6 @@ BlockScheduler::run()
             if (aborted_) {
                 failure_ = "cancelled";
                 result.cancelled = true;
-            } else if (restartTriggered_) {
-                failure_ = "restart: dfs node limit " +
-                           std::to_string(restartNodeLimit_);
             } else if (failure_.empty()) {
                 failure_ = "could not schedule operation " +
                            kernel_.operation(op).name;
@@ -359,16 +341,6 @@ BlockScheduler::run()
             route.readStub = *comm.readStub;
             schedule_.addRoute(route);
         }
-    }
-
-    // Publish this run's learned failures for the next attempt. Valid
-    // even when cancelled: entries recorded before the abort latched
-    // are genuine (abort-induced failures are never recorded).
-    if (options_.noGoodCache &&
-        (options_.crossAttemptNoGoods || options_.restartOnExplosion) &&
-        !learnedNoGoods_.empty()) {
-        ctx_->noGoods().publish(learnedNoGoods_);
-        learnedNoGoods_.clear();
     }
 
     result.success = ok;
@@ -418,24 +390,9 @@ BlockScheduler::flushHotCounters()
     flush("table_acquires", hot_.tableAcquires);
     flush("table_releases", hot_.tableReleases);
     flush("dfs_nodes", hot_.dfsNodes);
-    flush("nogood_probes", hot_.nogoodProbes);
-    flush("nogood_hits", hot_.nogoodHits);
-    flush("nogood_misses", hot_.nogoodMisses);
-    flush("nogood_inserts", hot_.nogoodInserts);
-    flush("nogood_invalidations", hot_.nogoodInvalidations);
-    flush("backjumps", hot_.backjumps);
-    flush("backjump_levels_skipped", hot_.backjumpLevelsSkipped);
-    flush("cbj_reruns", hot_.cbjReruns);
     for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
         flush((std::string("reject.") + kRejectReasonNames[i]).c_str(),
               hot_.rejects[i]);
-    }
-    // Evictions are counted inside the table; flush the delta so a
-    // second observation of run() does not double-count.
-    std::uint64_t evictions = noGoods_.evictions() - evictionsFlushed_;
-    if (evictions) {
-        stats_.bump("nogood_evictions", evictions);
-        evictionsFlushed_ += evictions;
     }
 }
 

@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "core/communication.hpp"
-#include "core/nogood.hpp"
 #include "core/reject.hpp"
 #include "core/reservation.hpp"
 #include "core/sched_context.hpp"
@@ -87,55 +86,15 @@ struct SchedulerOptions
      */
     bool retryVariants = true;
     /**
-     * @name Failure-learning switches
-     * Exact accelerations of the permutation search: disabling any of
-     * them changes wall time, never a schedule
-     * (tests/test_search_pruning.cpp holds the listings byte-identical
-     * both ways; DESIGN.md §5d has the exactness argument).
-     */
-    /// @{
-    /** Cache signatures of definitively-failed stub searches and skip
-     *  the DFS when one recurs. */
-    bool noGoodCache = true;
-    /** Conflict-directed backjumping in the permutation DFS: unwind
-     *  straight to the deepest level the rejections actually blame. */
-    bool conflictBackjumping = true;
-    /** Migrate learned no-goods between modulo-sweep attempts and
-     *  speculative parallel II workers through the shared context. */
-    bool crossAttemptNoGoods = true;
-    /// @}
-
-    /**
-     * @name Adaptive-search switches
-     * The planner/classifier layer over the II search
-     * (pipeline/adaptive.hpp) and CDCL-style restarts. All three are
-     * part of the cache key (pipeline/job.cpp hashOptions) so warm
-     * hits never cross toggle configurations.
-     */
-    /// @{
-    /**
      * Let the speculative parallel II search pick launch order,
      * speculation window, and serial-vs-speculative per block from
-     * the reject-reason mix and the cross-job portfolio. Exact: the
-     * commit rule still selects the serial sweep's winner, so
-     * listings are byte-identical either way (DESIGN.md section 5g).
+     * the reject-reason mix and the cross-job portfolio
+     * (pipeline/adaptive.hpp). Exact: the commit rule still selects
+     * the serial sweep's winner, so listings are byte-identical either
+     * way (DESIGN.md section 5g). Part of the cache key
+     * (pipeline/job.cpp hashOptions) all the same.
      */
     bool adaptiveOrdering = true;
-    /**
-     * CDCL-style restarts: when one attempt's permutation-DFS node
-     * count crosses a Luby-sequence threshold
-     * (lubySequence(restart#) * restartBaseNodes), the attempt
-     * unwinds and restarts with its learned no-goods retained. NOT
-     * exact — the restarted run spends its budgets on territory the
-     * exploded run never reached, so it may find a different (valid)
-     * schedule; hence default off, and restart-mode results are
-     * pinned by verification + II >= MII rather than listing
-     * equality (tests/test_adaptive.cpp).
-     */
-    bool restartOnExplosion = false;
-    /** Base DFS-node threshold the Luby sequence multiplies. */
-    std::uint64_t restartBaseNodes = 1u << 14;
-    /// @}
 };
 
 /** Outcome of scheduling one block. */
@@ -206,27 +165,6 @@ class BlockScheduler
         externalAbortFlag_ = flag;
     }
 
-    /**
-     * Arm the CDCL-style restart trigger: once the run's cumulative
-     * permutation-DFS node count reaches @p limit, the run unwinds
-     * exactly like a cooperative abort (budgets zeroed at the
-     * checkpoints it already pays for) but reports via
-     * restartTriggered() instead of cancelled, and publishes its
-     * learned no-goods so the caller can rerun the attempt with the
-     * next Luby threshold. 0 (the default) disarms.
-     */
-    void setRestartNodeLimit(std::uint64_t limit)
-    {
-        restartNodeLimit_ = limit;
-    }
-
-    /** The last run() unwound on the restart node limit (and not on
-     *  an abort flag — aborts win; a cancelled run never restarts). */
-    bool restartTriggered() const
-    {
-        return restartTriggered_ && !aborted_;
-    }
-
     /** Run to completion; the result owns the kernel and schedule. */
     ScheduleResult run();
 
@@ -284,30 +222,6 @@ class BlockScheduler
                               RegFileId wantRf);
     bool permuteWriteStubsImpl(int cycle, CommId constrain,
                                RegFileId wantRf);
-
-    /**
-     * @name No-good signatures
-     * Hash of everything a permutation-search call reads: the sorted
-     * participant list with endpoints, placements and tentative stubs,
-     * the constrain/wantRf overrides, the permutation budget, and the
-     * content hash of the one reservation row every probe in the call
-     * touches (all participants share norm(cycle) by construction). A
-     * recurring signature therefore implies a recurring outcome; see
-     * core/nogood.hpp for why entries are self-validating.
-     */
-    /// @{
-    std::uint64_t readSearchSignature(const std::vector<CommId> &ids,
-                                      int cycle, CommId constrain,
-                                      RegFileId wantRf) const;
-    std::uint64_t writeSearchSignature(const std::vector<CommId> &ids,
-                                       int cycle, CommId constrain,
-                                       RegFileId wantRf) const;
-    /** Probe the cache; true = known failure (skip the search). */
-    bool noGoodHit(std::uint64_t sig);
-    /** Record a definitive failure (skipped when aborting: an abort
-     *  zeroes the budget, which is not a property of the inputs). */
-    void noteNoGood(std::uint64_t sig);
-    /// @}
 
     /**
      * Step 4: try to close every closing communication of @p op,
@@ -409,17 +323,8 @@ class BlockScheduler
         /** Journaled stub acquisitions / releases on the table. */
         std::uint64_t tableAcquires = 0;
         std::uint64_t tableReleases = 0;
-        /** Failure learning: DFS expansion steps actually executed,
-         *  no-good cache traffic, and backjumping activity. */
+        /** DFS expansion steps the permutation searches executed. */
         std::uint64_t dfsNodes = 0;
-        std::uint64_t nogoodProbes = 0;
-        std::uint64_t nogoodHits = 0;
-        std::uint64_t nogoodMisses = 0;
-        std::uint64_t nogoodInserts = 0;
-        std::uint64_t nogoodInvalidations = 0;
-        std::uint64_t backjumps = 0;
-        std::uint64_t backjumpLevelsSkipped = 0;
-        std::uint64_t cbjReruns = 0;
         /** Placement rejections by RejectReason (core/reject.hpp),
          *  flushed as the "reject.<name>" counters. */
         std::array<std::uint64_t, kNumRejectReasons> rejects{};
@@ -455,9 +360,6 @@ class BlockScheduler
         std::vector<int> choice;
         std::vector<ValueId> distinctValues;
         InlineBitset candidateBuses;
-        /** Per-level conflict sets for backjumping (bit l = "a stub
-         *  acquired at level l rejected one of my candidates"). */
-        std::vector<std::uint64_t> conflict;
     };
 
     /** RAII lease on the scratch frame at the current nesting depth. */
@@ -482,12 +384,10 @@ class BlockScheduler
     /** Current cap on attemptsThisOp_ (tightened inside copies). */
     std::uint64_t attemptCap_ = 0;
 
-    /** True once the armed abort flag has been observed raised (or
-     *  the restart node limit has been crossed; both unwind the same
-     *  way — the caller distinguishes via restartTriggered()). */
+    /** True once an armed abort flag has been observed raised. */
     bool abortRequested()
     {
-        if (aborted_ || restartTriggered_)
+        if (aborted_)
             return true;
         if ((abortFlag_ != nullptr &&
              abortFlag_->load(std::memory_order_relaxed)) ||
@@ -498,15 +398,8 @@ class BlockScheduler
             // unwind rejects afterwards is a casualty of this abort,
             // not a scheduling fact worth counting per-site.
             noteReject(RejectReason::Aborted);
-        } else if (restartNodeLimit_ != 0 &&
-                   hot_.dfsNodes >= restartNodeLimit_) {
-            // Luby restart trigger: latch and unwind like an abort.
-            // Checked here — the per-DFS-step checkpoint the search
-            // already pays for — so arming it costs one compare.
-            restartTriggered_ = true;
-            noteReject(RejectReason::RestartTriggered);
         }
-        return aborted_ || restartTriggered_;
+        return aborted_;
     }
     /** External cancellation request (null when disarmed). */
     const std::atomic<bool> *abortFlag_ = nullptr;
@@ -515,10 +408,6 @@ class BlockScheduler
     const std::atomic<bool> *externalAbortFlag_ = nullptr;
     /** Latched locally so unwinding never re-reads the atomic. */
     bool aborted_ = false;
-    /** Restart node limit (0 = disarmed); see setRestartNodeLimit. */
-    std::uint64_t restartNodeLimit_ = 0;
-    /** Latched when hot_.dfsNodes crossed restartNodeLimit_. */
-    bool restartTriggered_ = false;
 
     Kernel kernel_;
     BlockId block_;
@@ -573,14 +462,6 @@ class BlockScheduler
         }
         return driverScratch_[static_cast<std::size_t>(copyDepth)];
     }
-
-    /** Local no-good cache (options_.noGoodCache gates every use). */
-    NoGoodTable noGoods_;
-    /** Signatures learned this run, published to the context exchange
-     *  at run() end when options_.crossAttemptNoGoods is on. */
-    std::vector<std::uint64_t> learnedNoGoods_;
-    /** Table evictions already flushed into stats_. */
-    std::uint64_t evictionsFlushed_ = 0;
 
     /**
      * Candidate-ranking scratch. The candidate functions never nest

@@ -36,19 +36,12 @@ enum class RejectReason : unsigned {
     /** A search budget (permutation DFS nodes, or per-op placement
      * attempts) was exhausted before a feasible placement was found. */
     BudgetExhausted,
-    /** The placement signature matched a cached no-good; search was
-     * pruned without re-exploring. */
-    NoGoodHit,
     /** A cooperative abort (parallel II search cancellation) stopped
      * this attempt. */
     Aborted,
-    /** The attempt crossed its Luby restart node threshold and is
-     * unwinding to restart with retained no-goods
-     * (SchedulerOptions::restartOnExplosion). */
-    RestartTriggered,
 };
 
-constexpr std::size_t kNumRejectReasons = 9;
+constexpr std::size_t kNumRejectReasons = 7;
 
 /** Stable snake_case names, indexable by the enum value. These feed
  * counter names ("reject.bus_conflict") and trace-event names. */
@@ -59,9 +52,7 @@ constexpr std::array<const char *, kNumRejectReasons> kRejectReasonNames = {
     "no_serviceable_write_stub",
     "route_infeasible",
     "budget_exhausted",
-    "no_good_hit",
     "aborted",
-    "restart_triggered",
 };
 
 constexpr const char *

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "support/fnv.hpp"
 #include "support/logging.hpp"
 
 namespace cs {
@@ -386,65 +385,6 @@ ReservationTable::releaseRead(const ReadStub &stub, OperationId reader,
         }
     }
     CS_PANIC("releasing unheld read stub");
-}
-
-std::uint64_t
-ReservationTable::stubStateHash(int cycle,
-                                std::uint64_t &recomputes) const
-{
-    const CycleState *state = stateAt(cycle);
-    if (state == nullptr || (state->writes.empty() &&
-                             state->reads.empty())) {
-        // Uninitialized and stub-empty rows hash alike: they answer
-        // every probe identically.
-        return kFnvOffsetBasis;
-    }
-    if (state->stubHashValid && state->stubHashGen == state->stubGen)
-        return state->stubHashMemo;
-    ++recomputes;
-
-    std::uint64_t h = kFnvOffsetBasis;
-    h = state->wOut.foldInto(h);
-    h = state->wBus.foldInto(h);
-    h = state->wPort.foldInto(h);
-    h = state->rPort.foldInto(h);
-    h = state->rBus.foldInto(h);
-    h = state->rInput.foldInto(h);
-
-    // Use lists fold commutatively (plain sums of per-use hashes):
-    // probe outcomes depend on the *set* of uses, never on list
-    // order, and erase/re-insert cycles do reorder the vectors.
-    // Refcounts are content too — they decide when a release makes a
-    // use disappear, so two rows differing only in refs diverge under
-    // the same release sequence.
-    std::uint64_t wsum = 0;
-    for (const WriteUse &use : state->writes) {
-        FnvHasher u;
-        u.u64(use.stub.output.index());
-        u.u64(use.stub.bus.index());
-        u.u64(use.stub.writePort.index());
-        u.u64(use.value.index());
-        u.i32(use.refs);
-        wsum += u.state;
-    }
-    std::uint64_t rsum = 0;
-    for (const ReadUse &use : state->reads) {
-        FnvHasher u;
-        u.u64(use.stub.readPort.index());
-        u.u64(use.stub.bus.index());
-        u.u64(use.stub.input.index());
-        u.u64(use.reader.index());
-        u.i32(use.slot);
-        u.i32(use.refs);
-        rsum += u.state;
-    }
-    h = fnvMix(h, wsum);
-    h = fnvMix(h, rsum);
-
-    state->stubHashMemo = h;
-    state->stubHashGen = state->stubGen;
-    state->stubHashValid = true;
-    return h;
 }
 
 std::uint32_t

@@ -120,24 +120,6 @@ class ReservationTable
     /// @}
 
     /**
-     * Content hash of the cycle's stub state: the occupancy-mask words
-     * plus an order-independent fold of the refcounted write/read use
-     * lists (functional-unit issue state is deliberately excluded — no
-     * stub probe reads it). Every acquire/release of a stub bumps the
-     * row's generation counter — including pure refcount moves, since
-     * refcounts decide when a release makes a use disappear — and the
-     * hash is memoized against that generation, so repeated signature
-     * computations between mutations are O(1). @p recomputes counts
-     * the cache misses (the no-good layer's "invalidations" counter).
-     *
-     * The memo is per-row mutable state without synchronization: a
-     * ReservationTable belongs to exactly one scheduler, never shared
-     * across threads (unlike the immutable BlockSchedulingContext).
-     */
-    std::uint64_t stubStateHash(int cycle,
-                                std::uint64_t &recomputes) const;
-
-    /**
      * Generation of the cycle's stub state: bumped on every stub
      * acquire/release of the row, 0 for untouched rows, and monotone
      * for the table's lifetime (rollback replays inverse operations
@@ -198,10 +180,6 @@ class ReservationTable
 
         /** Bumped on every stub acquire/release (not on fu moves). */
         std::uint32_t stubGen = 0;
-        /** stubStateHash memo, valid while stubHashGen == stubGen. */
-        mutable std::uint64_t stubHashMemo = 0;
-        mutable std::uint32_t stubHashGen = 0;
-        mutable bool stubHashValid = false;
 
         void init(const Machine &machine);
     };

@@ -23,11 +23,7 @@
  *
  * Thread safety: immutable after construction; any number of
  * schedulers on any threads may read one context concurrently. The
- * referenced kernel and machine must outlive the context. The one
- * exception is the no-good exchange, a deliberately mutable,
- * internally-synchronized side channel through which attempts pass
- * learned search failures forward (core/nogood.hpp explains why that
- * sharing can never change a schedule).
+ * referenced kernel and machine must outlive the context.
  */
 
 #ifndef CS_CORE_SCHED_CONTEXT_HPP
@@ -38,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "core/nogood.hpp"
 #include "ir/ddg.hpp"
 #include "ir/kernel.hpp"
 #include "machine/machine.hpp"
@@ -154,14 +149,6 @@ class BlockSchedulingContext
                                 to.index()];
     }
 
-    /**
-     * Cross-attempt failure exchange (thread-safe, mutable): modulo
-     * sweep attempts and speculative parallel II workers that borrow
-     * this context publish their learned no-good signatures here and
-     * seed the next attempt's local cache from it.
-     */
-    NoGoodExchange &noGoods() const { return noGoods_; }
-
   private:
     std::size_t keyScheduled(FuncUnitId fu, int slot) const;
     std::size_t keyScheduledCopy(FuncUnitId fu) const;
@@ -194,9 +181,6 @@ class BlockSchedulingContext
     std::vector<std::uint16_t> closeBase_;
     /** [fu * numRegFiles + rf] -> min copy distance. */
     std::vector<int> minCopiesFromFu_;
-
-    /** See noGoods(); mutable: learning does not alter the analysis. */
-    mutable NoGoodExchange noGoods_;
 };
 
 } // namespace cs

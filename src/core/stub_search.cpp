@@ -22,11 +22,9 @@
  */
 
 #include <algorithm>
-#include <bit>
 #include <climits>
 
 #include "core/comm_scheduler.hpp"
-#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
 
@@ -49,144 +47,7 @@ packCommOrderKey(bool open, int copyRange)
            (static_cast<std::uint32_t>(copyRange) ^ 0x80000000u);
 }
 
-/** Ids hash with +1 so "absent" (0) never collides with index 0. */
-std::uint64_t
-presenceOf(std::uint32_t index, bool valid)
-{
-    return valid ? static_cast<std::uint64_t>(index) + 1 : 0;
-}
-
-void
-hashReadStub(FnvHasher &h, const std::optional<ReadStub> &stub)
-{
-    if (!stub) {
-        h.u64(0);
-        return;
-    }
-    h.u64(stub->readPort.index() + 1);
-    h.u64(stub->bus.index());
-    h.u64(stub->input.index());
-}
-
-void
-hashWriteStub(FnvHasher &h, const std::optional<WriteStub> &stub)
-{
-    if (!stub) {
-        h.u64(0);
-        return;
-    }
-    h.u64(stub->writePort.index() + 1);
-    h.u64(stub->bus.index());
-    h.u64(stub->output.index());
-}
-
 } // namespace
-
-std::uint64_t
-BlockScheduler::readSearchSignature(const std::vector<CommId> &ids,
-                                    int cycle, CommId constrain,
-                                    RegFileId wantRf) const
-{
-    FnvHasher h;
-    h.u64(0x52); // direction tag: 'R'
-    h.u64(presenceOf(constrain.index(), constrain.valid()));
-    h.u64(presenceOf(wantRf.index(), wantRf.valid()));
-    h.i32(options_.permutationBudget);
-    for (CommId id : ids) {
-        const Communication &comm = comms_.get(id);
-        h.u64(id.index());
-        h.u64(comm.value.index());
-        h.u64(comm.reader.index());
-        h.i32(comm.slot);
-        h.i32(comm.distance * ii_);
-        hashReadStub(h, comm.readStub);
-        const Placement &rp = schedule_.placement(comm.reader);
-        h.u64(rp.fu.index());
-        h.i32(issueCycleOf(comm.reader));
-        h.boolean(kernel_.operation(comm.reader).isCopy());
-        h.boolean(comm.isLiveIn());
-        bool writer_scheduled =
-            comm.writer.valid() && isScheduled(comm.writer);
-        h.boolean(writer_scheduled);
-        if (writer_scheduled) {
-            h.u64(schedule_.placement(comm.writer).fu.index());
-            h.i32(issueCycleOf(comm.writer));
-            h.i32(latencyOf(comm.writer));
-            hashWriteStub(h, comm.writeStub);
-        }
-    }
-    h.u64(reservations_.stubStateHash(cycle, hot_.nogoodInvalidations));
-    return h.state;
-}
-
-std::uint64_t
-BlockScheduler::writeSearchSignature(const std::vector<CommId> &ids,
-                                     int cycle, CommId constrain,
-                                     RegFileId wantRf) const
-{
-    FnvHasher h;
-    h.u64(0x57); // direction tag: 'W'
-    h.u64(presenceOf(constrain.index(), constrain.valid()));
-    h.u64(presenceOf(wantRf.index(), wantRf.valid()));
-    h.i32(options_.permutationBudget);
-    for (CommId id : ids) {
-        const Communication &comm = comms_.get(id);
-        h.u64(id.index());
-        h.u64(comm.value.index());
-        h.u64(comm.writer.index());
-        h.u64(schedule_.placement(comm.writer).fu.index());
-        h.i32(writeStubCycleOf(comm.writer));
-        hashWriteStub(h, comm.writeStub);
-        h.u64(comm.reader.index());
-        h.i32(comm.slot);
-        h.i32(comm.distance * ii_);
-        const Operation &consumer = kernel_.operation(comm.reader);
-        h.i32(static_cast<int>(consumer.opcode));
-        h.boolean(consumer.isCopy());
-        hashReadStub(h, comm.readStub);
-        bool reader_scheduled = isScheduled(comm.reader);
-        h.boolean(reader_scheduled);
-        if (reader_scheduled) {
-            h.u64(schedule_.placement(comm.reader).fu.index());
-            h.i32(issueCycleOf(comm.reader));
-        }
-    }
-    h.u64(reservations_.stubStateHash(cycle, hot_.nogoodInvalidations));
-    return h.state;
-}
-
-bool
-BlockScheduler::noGoodHit(std::uint64_t sig)
-{
-    ++hot_.nogoodProbes;
-    if (noGoods_.contains(sig)) {
-        ++hot_.nogoodHits;
-        return true;
-    }
-    ++hot_.nogoodMisses;
-    return false;
-}
-
-void
-BlockScheduler::noteNoGood(std::uint64_t sig)
-{
-    if (aborted_ || restartTriggered_) {
-        // The failure was (or may have been) induced by the abort (or
-        // the restart trigger) zeroing the budget; that is not a
-        // property of the inputs, so it must not be learned.
-        return;
-    }
-    if (noGoods_.insert(sig)) {
-        ++hot_.nogoodInserts;
-        // Restart retention rides the same exchange as cross-attempt
-        // sharing: a restarted run must re-see this run's failures.
-        if ((options_.crossAttemptNoGoods ||
-             options_.restartOnExplosion) &&
-            learnedNoGoods_.size() < NoGoodExchange::kCapacity) {
-            learnedNoGoods_.push_back(sig);
-        }
-    }
-}
 
 BlockScheduler::ScratchGuard::ScratchGuard(BlockScheduler &owner)
     : owner_(owner),
@@ -667,28 +528,6 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
     for (std::size_t i = 0; i < ids.size(); ++i)
         ids[i] = order[i].second;
 
-    // No-good probe. A failed search call is observationally pure
-    // (its undo pairs cancel and no stub field changes), so when a
-    // failure's signature recurs the DFS may be skipped outright. The
-    // signature is taken against the pre-release state; the released
-    // previous assignments are part of it, so the post-release state
-    // the search actually probes is fully determined by it. While the
-    // table is empty a probe cannot hit, so the signature is deferred
-    // to failure time — legal because a failed search restores that
-    // exact pre-release state (the row hash is order-independent, so
-    // use-list reordering from the undo pairs cannot change it) —
-    // and successful searches then pay nothing for the cache.
-    std::uint64_t sig = 0;
-    bool sigValid = false;
-    if (options_.noGoodCache && noGoods_.size() != 0) {
-        sig = readSearchSignature(ids, cycle, constrain, wantRf);
-        sigValid = true;
-        if (noGoodHit(sig)) {
-            noteReject(RejectReason::NoGoodHit);
-            return false;
-        }
-    }
-
     // Release current assignments; remember them for rollback.
     auto &previous = sc.prevRead;
     previous.assign(ids.size(), std::nullopt);
@@ -720,19 +559,13 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
         }
     }
 
-    // Bounded depth-first search. On success every level's acquisition
-    // is held and choice[] names it; on failure everything acquired is
-    // released again (the shared failure path below restores the
-    // previous assignments). With useCbj the search consults the same
-    // candidates in the same order and charges the budget at the same
-    // per-candidate points, but a dead level unwinds straight to the
-    // deepest level its rejections actually blame; the skipped
-    // subtrees are provably solution-free, so a false result is exact,
-    // and a success reached through a multi-level jump is re-run in
-    // plain chronological mode so the committed winner is always the
-    // legacy one (DESIGN.md §5d).
+    // Bounded depth-first search (Section 4.4): first fit in candidate
+    // order, backtracking one level at a time, every candidate
+    // examined charged to the budget. On success every level's
+    // acquisition is held and choice[] names it; on failure everything
+    // acquired is released again and the previous assignments are
+    // restored.
     auto &choice = sc.choice;
-    auto &conflict = sc.conflict;
     auto release_all = [&](std::size_t level) {
         while (level > 0) {
             --level;
@@ -741,14 +574,12 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
                           held.slot, issueCycleOf(held.reader));
         }
     };
-    auto run_dfs = [&](bool useCbj, bool &jumped) -> bool {
+    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
+    bool success = [&] {
         int budget = options_.permutationBudget;
         choice.assign(ids.size(), -1);
-        conflict.assign(ids.size(), 0);
         std::size_t level = 0;
-        while (true) {
-            if (level == ids.size())
-                return true;
+        while (level < ids.size()) {
             Communication &comm = comms_.get(ids[level]);
             int reader_cycle = issueCycleOf(comm.reader);
             // Cooperative cancellation rides the budget: zeroing it
@@ -767,8 +598,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
                 const ReadStub &stub = candidates[level][next];
                 // A write stub on this bus rejects any read outright;
                 // skip the probe (the probe's own first check, made
-                // O(1) here). Writes only come from the base row —
-                // this search acquires reads — so no level is blamed.
+                // O(1) here).
                 if (reservations_.busHasWrite(stub.bus, reader_cycle)) {
                     ++hot_.pruneReadBus;
                     continue;
@@ -784,25 +614,6 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
                     advanced = true;
                     break;
                 }
-                if (useCbj) {
-                    // Blame the deepest acquired level whose stub
-                    // rejects this candidate under the pairwise
-                    // sharing rules (one culprit suffices: every
-                    // rejection rule is a two-party violation). No
-                    // culprit means the base row alone rejects it —
-                    // permanently, since the DFS only adds
-                    // reservations and rejections are monotone.
-                    for (std::size_t l = level; l-- > 0;) {
-                        const Communication &other = comms_.get(ids[l]);
-                        const ReadStub &held = candidates[l][choice[l]];
-                        if (readStubsShareResource(held, stub) ||
-                            (other.reader == comm.reader &&
-                             other.slot == comm.slot)) {
-                            conflict[level] |= std::uint64_t{1} << l;
-                            break;
-                        }
-                    }
-                }
             }
             if (advanced)
                 continue;
@@ -813,59 +624,17 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
             }
             if (level == 0)
                 return false;
-            std::uint64_t mask = useCbj
-                                     ? conflict[level]
-                                     : std::uint64_t{1} << (level - 1);
-            if (mask == 0) {
-                // Every candidate of this level fell to base-row
-                // content alone: no assignment of the other levels can
-                // revive it, so the whole search is infeasible.
-                release_all(level);
-                return false;
-            }
-            auto target =
-                static_cast<std::size_t>(std::bit_width(mask)) - 1;
-            if (useCbj) {
-                conflict[target] |=
-                    mask & ~(std::uint64_t{1} << target);
-                if (target + 1 < level) {
-                    ++hot_.backjumps;
-                    hot_.backjumpLevelsSkipped += level - 1 - target;
-                    jumped = true;
-                }
-            }
+            // Backtrack: release the previous level's stub and resume
+            // its candidate scan at choice + 1.
             choice[level] = -1;
-            conflict[level] = 0;
-            while (true) {
-                --level;
-                Communication &held = comms_.get(ids[level]);
-                doReleaseRead(candidates[level][choice[level]],
-                              held.reader, held.slot,
-                              issueCycleOf(held.reader));
-                ++hot_.permBacktracks;
-                if (level == target)
-                    break; // resume its candidate scan at choice + 1
-                choice[level] = -1;
-                conflict[level] = 0;
-            }
+            --level;
+            Communication &held = comms_.get(ids[level]);
+            doReleaseRead(candidates[level][choice[level]], held.reader,
+                          held.slot, issueCycleOf(held.reader));
+            ++hot_.permBacktracks;
         }
-    };
-
-    bool use_cbj = options_.conflictBackjumping && ids.size() <= 64;
-    bool jumped = false;
-    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
-    bool success = run_dfs(use_cbj, jumped);
-    if (success && jumped) {
-        // The solution was reached through at least one multi-level
-        // jump, which spends less budget than stepwise unwinding would
-        // have: the chronological search might have exhausted its
-        // budget first. Re-run it plain (fresh budget, identical
-        // inputs) and let that outcome stand — by construction it is
-        // exactly the legacy result.
-        release_all(ids.size());
-        ++hot_.cbjReruns;
-        success = run_dfs(false, jumped);
-    }
+        return true;
+    }();
     if (!success) {
         // Classify the rejection. An aborted search was already noted
         // at the latch; a budget trip is a search-policy limit, not a
@@ -876,20 +645,13 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
                            : RejectReason::ReadPortConflict);
         }
         // Restore previous stubs (everything acquired is already
-        // released) and learn the failure unless an abort caused it.
+        // released).
         for (std::size_t i = 0; i < ids.size(); ++i) {
             Communication &held = comms_.get(ids[i]);
             if (previous[i]) {
                 doAcquireRead(*previous[i], held.reader, held.slot,
                               issueCycleOf(held.reader));
             }
-        }
-        if (options_.noGoodCache) {
-            // State is restored; the signature computed now equals the
-            // one a probe at entry would have seen.
-            if (!sigValid)
-                sig = readSearchSignature(ids, cycle, constrain, wantRf);
-            noteNoGood(sig);
         }
         return false;
     }
@@ -939,21 +701,6 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
               });
     for (std::size_t i = 0; i < ids.size(); ++i)
         ids[i] = order[i].second;
-
-    // No-good probe; see the read search for the exactness and the
-    // lazy-signature arguments. The bus-usability precheck below is
-    // also covered: it reads only hashed inputs (candidate stubs,
-    // values) and the hashed row.
-    std::uint64_t sig = 0;
-    bool sigValid = false;
-    if (options_.noGoodCache && noGoods_.size() != 0) {
-        sig = writeSearchSignature(ids, cycle, constrain, wantRf);
-        sigValid = true;
-        if (noGoodHit(sig)) {
-            noteReject(RejectReason::NoGoodHit);
-            return false;
-        }
-    }
 
     auto &previous = sc.prevWrite;
     previous.assign(ids.size(), std::nullopt);
@@ -1029,25 +776,12 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
                                    writeStubCycleOf(held.writer));
                 }
             }
-            if (options_.noGoodCache) {
-                if (!sigValid) {
-                    sig = writeSearchSignature(ids, cycle, constrain,
-                                               wantRf);
-                }
-                noteNoGood(sig);
-            }
             return false;
         }
     }
 
-    // Bounded depth-first search; structure and exactness argument as
-    // in the read search above. The write-side conflict attribution
-    // mirrors canAcquireWrite's sharing rules: against an acquired
-    // stub of the same value, only an identical stub is shareable
-    // (same output port, no same-file clash); against a different
-    // value, any shared resource rejects.
+    // Bounded depth-first search; same shape as the read search.
     auto &choice = sc.choice;
-    auto &conflict = sc.conflict;
     auto release_all = [&](std::size_t level) {
         while (level > 0) {
             --level;
@@ -1056,14 +790,12 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
                            writeStubCycleOf(held.writer));
         }
     };
-    auto run_dfs = [&](bool useCbj, bool &jumped) -> bool {
+    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
+    bool success = [&] {
         int budget = options_.permutationBudget;
         choice.assign(ids.size(), -1);
-        conflict.assign(ids.size(), 0);
         std::size_t level = 0;
-        while (true) {
-            if (level == ids.size())
-                return true;
+        while (level < ids.size()) {
             Communication &comm = comms_.get(ids[level]);
             int write_cycle = writeStubCycleOf(comm.writer);
             // Same cancellation-as-budget trick as the read search.
@@ -1077,31 +809,14 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
                 if (--budget <= 0)
                     break;
                 const WriteStub &stub = candidates[level][next];
-                // A read stub on the bus rejects this stub no matter
-                // what else is reserved, and reads only come from the
-                // base row (this search acquires writes): static.
+                // A read stub on the bus, or a write of another value,
+                // rejects this stub outright: skip the probe.
                 ReservationTable::BusWriteProbe bus_probe =
                     reservations_.busWriteProbe(stub.bus, write_cycle);
-                if (bus_probe.hasRead) {
+                if (bus_probe.hasRead ||
+                    (bus_probe.value.valid() &&
+                     bus_probe.value != comm.value)) {
                     ++hot_.pruneWriteBus;
-                    continue;
-                }
-                ValueId on_bus = bus_probe.value;
-                if (on_bus.valid() && on_bus != comm.value) {
-                    ++hot_.pruneWriteBus;
-                    if (useCbj) {
-                        // The clashing write may be an acquired level
-                        // (then blame the deepest such) or base
-                        // content (then static).
-                        for (std::size_t l = level; l-- > 0;) {
-                            if (candidates[l][choice[l]].bus ==
-                                stub.bus) {
-                                conflict[level] |= std::uint64_t{1}
-                                                   << l;
-                                break;
-                            }
-                        }
-                    }
                     continue;
                 }
                 ++hot_.probeWrites;
@@ -1113,25 +828,6 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
                     advanced = true;
                     break;
                 }
-                if (useCbj) {
-                    for (std::size_t l = level; l-- > 0;) {
-                        const Communication &other = comms_.get(ids[l]);
-                        const WriteStub &held = candidates[l][choice[l]];
-                        bool clash;
-                        if (other.value == comm.value) {
-                            clash = held != stub &&
-                                    (sameResultWriteStubsConflict(
-                                         machine_, held, stub) ||
-                                     held.output != stub.output);
-                        } else {
-                            clash = writeStubsShareResource(held, stub);
-                        }
-                        if (clash) {
-                            conflict[level] |= std::uint64_t{1} << l;
-                            break;
-                        }
-                    }
-                }
             }
             if (advanced)
                 continue;
@@ -1142,50 +838,15 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
             }
             if (level == 0)
                 return false;
-            std::uint64_t mask = useCbj
-                                     ? conflict[level]
-                                     : std::uint64_t{1} << (level - 1);
-            if (mask == 0) {
-                release_all(level);
-                return false;
-            }
-            auto target =
-                static_cast<std::size_t>(std::bit_width(mask)) - 1;
-            if (useCbj) {
-                conflict[target] |=
-                    mask & ~(std::uint64_t{1} << target);
-                if (target + 1 < level) {
-                    ++hot_.backjumps;
-                    hot_.backjumpLevelsSkipped += level - 1 - target;
-                    jumped = true;
-                }
-            }
             choice[level] = -1;
-            conflict[level] = 0;
-            while (true) {
-                --level;
-                Communication &held = comms_.get(ids[level]);
-                doReleaseWrite(candidates[level][choice[level]],
-                               held.value,
-                               writeStubCycleOf(held.writer));
-                ++hot_.permBacktracks;
-                if (level == target)
-                    break;
-                choice[level] = -1;
-                conflict[level] = 0;
-            }
+            --level;
+            Communication &held = comms_.get(ids[level]);
+            doReleaseWrite(candidates[level][choice[level]], held.value,
+                           writeStubCycleOf(held.writer));
+            ++hot_.permBacktracks;
         }
-    };
-
-    bool use_cbj = options_.conflictBackjumping && ids.size() <= 64;
-    bool jumped = false;
-    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
-    bool success = run_dfs(use_cbj, jumped);
-    if (success && jumped) {
-        release_all(ids.size());
-        ++hot_.cbjReruns;
-        success = run_dfs(false, jumped);
-    }
+        return true;
+    }();
     if (!success) {
         // Classify: abort already noted at the latch; a communication
         // with no candidate write stubs at all is the "no serviceable
@@ -1208,11 +869,6 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
                 doAcquireWrite(*previous[i], held.value,
                                writeStubCycleOf(held.writer));
             }
-        }
-        if (options_.noGoodCache) {
-            if (!sigValid)
-                sig = writeSearchSignature(ids, cycle, constrain, wantRf);
-            noteNoGood(sig);
         }
         return false;
     }

@@ -9,8 +9,7 @@
  * Exactness argument (DESIGN.md section 5g): the search's commit rule
  * is "smallest successful attempt index k", and an attempt's outcome
  * is a pure function of (ii, variant) over the shared immutable
- * context — no-good seeding only short-circuits searches that would
- * fail anyway. The planner merely permutes the order attempts are
+ * context. The planner merely permutes the order attempts are
  * handed to the pool and bounds how far past the (unknown) winner the
  * search speculates; every attempt below the winner still runs, so
  * the winner — and its byte-identical listing — cannot change.

@@ -51,8 +51,8 @@ ContextCache::acquire(const Kernel &kernel, BlockId block,
     auto it = index_.find(k);
     if (it != index_.end()) {
         // Another thread built and published first; adopt its entry so
-        // every holder of this key shares one no-good exchange. The
-        // race is not a counted hit — both threads paid the build.
+        // every holder of this key shares one analysis. The race is not
+        // a counted hit — both threads paid the build.
         lru_.splice(lru_.begin(), lru_, it->second);
         return it->second->second;
     }

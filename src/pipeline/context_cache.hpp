@@ -19,11 +19,7 @@
  * Exactness: a context is immutable after construction and built from
  * (kernel, block, machine) only, so a cached context is
  * byte-equivalent input to a freshly built one — listings stay
- * byte-identical (tests pin all 80 goldens with the cache ON). The
- * one mutable member, the no-good exchange, is self-validating by
- * signature (core/nogood.hpp): a seeded entry can only convert a
- * search that would fail anyway into an immediate failure, on any II,
- * variant, options, or thread, so sharing it across jobs is safe too.
+ * byte-identical (tests pin all 80 goldens with the cache ON).
  *
  * Lifetime: entries own private copies of the kernel and machine (the
  * context holds references), handed out behind shared_ptr — an entry
@@ -94,7 +90,7 @@ class ContextCache
      * Return the shared analysis for (kernel, block, machine),
      * building it on a miss. Concurrent misses on one key may both
      * build; the first insert wins and the loser adopts it, so every
-     * caller holding a given key sees one exchange to learn through.
+     * caller holding a given key shares one analysis.
      * With capacity 0, builds a private entry every call (counted as
      * a miss).
      */

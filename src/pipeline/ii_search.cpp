@@ -97,8 +97,6 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
                config.abort->load(std::memory_order_relaxed);
     };
 
-    std::uint64_t num_restarts = 0;
-
     if (plan.serialInline) {
         // The classifier says speculation cannot pay (history: the
         // first attempt always wins): run the sweep inline over the
@@ -110,9 +108,10 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
             const int ii = mii + k / num_variants;
             CS_TRACE_SPAN2("ii_attempt", "ii", ii, "variant",
                            k % num_variants);
-            ScheduleResult attempt = runAttemptWithRestarts(
-                context, variants[k % num_variants], ii, nullptr,
-                config.abort, &num_restarts);
+            BlockScheduler scheduler(context, variants[k % num_variants],
+                                     ii);
+            scheduler.setExternalAbortFlag(config.abort);
+            ScheduleResult attempt = scheduler.run();
             ++result.attempts;
             bool cancelled = attempt.cancelled;
             planner.onAttemptDone(k, attempt.success,
@@ -148,8 +147,6 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
                    static_cast<std::uint64_t>(result.attempts));
         stats.bump("ii_search.adaptive", 1);
         stats.bump("ii_search.serial_inline", 1);
-        if (num_restarts > 0)
-            stats.bump("ii_search.restarts", num_restarts);
         return result;
     }
 
@@ -180,12 +177,11 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
         // (ii, variant), the cancelled ones ending early.
         CS_TRACE_SPAN2("ii_attempt", "ii", mii + k / num_variants,
                        "variant", k % num_variants);
-        std::uint64_t attempt_restarts = 0;
-        ScheduleResult attempt_result = runAttemptWithRestarts(
-            context, variants[k % num_variants],
-            mii + k / num_variants,
-            &attempts[static_cast<std::size_t>(k)].abort, config.abort,
-            &attempt_restarts);
+        BlockScheduler scheduler(context, variants[k % num_variants],
+                                 mii + k / num_variants);
+        scheduler.setAbortFlag(&attempts[static_cast<std::size_t>(k)].abort);
+        scheduler.setExternalAbortFlag(config.abort);
+        ScheduleResult attempt_result = scheduler.run();
         Clock::time_point finished = Clock::now();
 
         std::lock_guard<std::mutex> lock(mutex);
@@ -193,7 +189,6 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
         a.result = std::move(attempt_result);
         a.done = true;
         --in_flight;
-        num_restarts += attempt_restarts;
         if (a.abortRaised && a.result.cancelled) {
             ++num_cancelled;
             std::uint64_t latency_us = static_cast<std::uint64_t>(
@@ -297,8 +292,6 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
         stats.bump("ii_search.window",
                    static_cast<std::uint64_t>(plan.window));
     }
-    if (num_restarts > 0)
-        stats.bump("ii_search.restarts", num_restarts);
     return result;
 }
 

@@ -90,8 +90,8 @@ schedulePipelinedParallel(const Kernel &kernel, BlockId block,
  * ContextCache): byte-identical results for the context's
  * (kernel, block, machine), with the analysis cost paid once per
  * distinct pair instead of once per job. @p context must outlive the
- * call; concurrent searches may share one context (it is immutable,
- * and the no-good exchange is internally synchronized).
+ * call; concurrent searches may share one context (it is
+ * immutable).
  */
 PipelineResult
 schedulePipelinedParallel(const BlockSchedulingContext &context,

@@ -156,12 +156,7 @@ hashOptions(const SchedulerOptions &options)
     h.u64(options.perOpAttemptBudget);
     h.u64(options.copyAttemptBudget);
     h.boolean(options.retryVariants);
-    h.boolean(options.noGoodCache);
-    h.boolean(options.conflictBackjumping);
-    h.boolean(options.crossAttemptNoGoods);
     h.boolean(options.adaptiveOrdering);
-    h.boolean(options.restartOnExplosion);
-    h.u64(options.restartBaseNodes);
     return h.state;
 }
 

@@ -22,7 +22,22 @@ constexpr std::int64_t kMaxIndex = 1 << 20;
 // SchedulerOptions (text keys are the snake_case field names; every
 // key is printed so a listing is a complete record, parsers accept
 // any subset and reject unknown keys)
+//
+// The search once had three failure-learning switches, and job sets
+// written then still carry them: the text parser accepts their keys
+// with a boolean value and ignores it, and the binary codec keeps
+// their three bytes as reserved (written as the old default, true;
+// read and discarded), so the v1/v2 frame layout is unchanged.
 // -------------------------------------------------------------------
+
+bool
+isRetiredOptionKey(const std::string &key)
+{
+    return key == "no_good_cache" || key == "conflict_backjumping" ||
+           key == "cross_attempt_no_goods";
+}
+
+constexpr int kRetiredOptionBytes = 3;
 
 void
 printOptions(std::ostream &os, const SchedulerOptions &opt,
@@ -44,12 +59,6 @@ printOptions(std::ostream &os, const SchedulerOptions &opt,
     os << in2 << "copy_attempt_budget " << opt.copyAttemptBudget << "\n";
     os << in2 << "retry_variants "
        << (opt.retryVariants ? "true" : "false") << "\n";
-    os << in2 << "no_good_cache "
-       << (opt.noGoodCache ? "true" : "false") << "\n";
-    os << in2 << "conflict_backjumping "
-       << (opt.conflictBackjumping ? "true" : "false") << "\n";
-    os << in2 << "cross_attempt_no_goods "
-       << (opt.crossAttemptNoGoods ? "true" : "false") << "\n";
     os << indent << "}\n";
 }
 
@@ -121,12 +130,9 @@ parseOptionsBody(wire::TextScanner &scanner, SchedulerOptions *opt)
             }
         } else if (key == "retry_variants") {
             scanner.boolean(&opt->retryVariants);
-        } else if (key == "no_good_cache") {
-            scanner.boolean(&opt->noGoodCache);
-        } else if (key == "conflict_backjumping") {
-            scanner.boolean(&opt->conflictBackjumping);
-        } else if (key == "cross_attempt_no_goods") {
-            scanner.boolean(&opt->crossAttemptNoGoods);
+        } else if (isRetiredOptionKey(key)) {
+            bool ignored = false;
+            scanner.boolean(&ignored);
         } else if (key.empty()) {
             scanner.fail("unterminated options block");
         } else {
@@ -148,9 +154,8 @@ encodeOptions(wire::ByteWriter &writer, const SchedulerOptions &opt)
     writer.u64(opt.perOpAttemptBudget);
     writer.u64(opt.copyAttemptBudget);
     writer.boolean(opt.retryVariants);
-    writer.boolean(opt.noGoodCache);
-    writer.boolean(opt.conflictBackjumping);
-    writer.boolean(opt.crossAttemptNoGoods);
+    for (int i = 0; i < kRetiredOptionBytes; ++i)
+        writer.boolean(true);
 }
 
 bool
@@ -165,9 +170,8 @@ decodeOptions(wire::ByteReader &reader, SchedulerOptions *opt)
     opt->perOpAttemptBudget = reader.u64();
     opt->copyAttemptBudget = reader.u64();
     opt->retryVariants = reader.boolean();
-    opt->noGoodCache = reader.boolean();
-    opt->conflictBackjumping = reader.boolean();
-    opt->crossAttemptNoGoods = reader.boolean();
+    for (int i = 0; i < kRetiredOptionBytes; ++i)
+        reader.boolean();
     if (reader.failed())
         return false;
     std::string error;

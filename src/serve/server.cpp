@@ -316,10 +316,34 @@ ScheduleServer::acceptLoop(std::atomic<int> &listenFd, bool tcp)
         conn->fd = fd;
         metrics_.counters().bump("serve.connections");
         std::lock_guard<std::mutex> lock(connMutex_);
+        reapFinishedLocked();
         connections_.push_back(conn);
         connThreads_.emplace_back(
             [this, conn] { connectionLoop(conn); });
     }
+}
+
+void
+ScheduleServer::reapFinishedLocked()
+{
+    // Without this a client that connects once per request would leave
+    // one exited, unjoined thread (and its stack) per request behind
+    // until stop(). A finished thread is past its last use of shared
+    // state, so the join returns at once.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < connections_.size(); ++i) {
+        if (connections_[i]->finished.load()) {
+            connThreads_[i].join();
+            continue;
+        }
+        if (kept != i) {
+            connections_[kept] = std::move(connections_[i]);
+            connThreads_[kept] = std::move(connThreads_[i]);
+        }
+        ++kept;
+    }
+    connections_.resize(kept);
+    connThreads_.resize(kept);
 }
 
 void
@@ -351,11 +375,14 @@ ScheduleServer::connectionLoop(std::shared_ptr<Connection> conn)
     // still in flight may be racing sendResponse(), and the fd number
     // must not be reused under it.
     conn->open.store(false);
-    std::lock_guard<std::mutex> lock(conn->writeMutex);
-    if (conn->fd >= 0) {
-        ::close(conn->fd);
-        conn->fd = -1;
+    {
+        std::lock_guard<std::mutex> lock(conn->writeMutex);
+        if (conn->fd >= 0) {
+            ::close(conn->fd);
+            conn->fd = -1;
+        }
     }
+    conn->finished.store(true);
 }
 
 namespace {

@@ -164,6 +164,9 @@ class ScheduleServer
         int fd = -1;
         std::mutex writeMutex;
         std::atomic<bool> open{true};
+        /** Set as connectionLoop returns: the next accept joins and
+         *  drops the connection's thread (reapFinishedLocked). */
+        std::atomic<bool> finished{false};
     };
 
     /** Everything one admitted Schedule request owns while it runs. */
@@ -201,6 +204,8 @@ class ScheduleServer
 
     void acceptLoop(std::atomic<int> &listenFd, bool tcp);
     void connectionLoop(std::shared_ptr<Connection> conn);
+    /** Join and drop finished connections; caller holds connMutex_. */
+    void reapFinishedLocked();
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        Request &&request,
                        std::chrono::steady_clock::time_point received,
@@ -251,6 +256,7 @@ class ScheduleServer
     std::thread acceptThread_;
     std::thread tcpAcceptThread_;
     std::mutex connMutex_;
+    /** Live connections and their reader threads, index-aligned. */
     std::vector<std::shared_ptr<Connection>> connections_;
     std::vector<std::thread> connThreads_;
 

@@ -158,21 +158,6 @@ class InlineBitset
         return total;
     }
 
-    /**
-     * Fold every storage word into an FNV-1a style accumulator and
-     * return the new state: used by the reservation table to hash
-     * occupancy-mask rows into no-good signatures without exposing the
-     * word array itself.
-     */
-    std::uint64_t
-    foldInto(std::uint64_t h) const
-    {
-        const std::uint64_t *w = words();
-        for (std::size_t i = 0; i < numWords_; ++i)
-            h = (h ^ w[i]) * 1099511628211ULL;
-        return h;
-    }
-
   private:
     bool usesHeap() const { return numWords_ > kInlineWords; }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * FNV-1a hashing over 64-bit lanes: the one hash function the
- * scheduler's memo layers share (no-good signatures, reservation-row
- * content hashes). Feeding each datum as a full 64-bit lane instead of
+ * scheduler's memo layers share (context-cache keys, block-shape
+ * keys). Feeding each datum as a full 64-bit lane instead of
  * byte-at-a-time keeps the mix loop out of the profile while retaining
  * FNV's avalanche behaviour for small structured keys.
  */

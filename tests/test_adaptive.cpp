@@ -1,30 +1,20 @@
 /**
  * @file
- * The adaptive II-search layer (pipeline/adaptive.hpp) and the
- * restart-on-explosion mode (core/modulo_scheduler.hpp).
+ * The adaptive II-search layer (pipeline/adaptive.hpp).
  *
- * Two different contracts are pinned here. Adaptive ordering is
- * *exact*: it may only permute attempt launch order and bound the
- * speculation window, so its tests assert byte-identical listings and
- * fixed-order equivalence (the golden suites in
- * test_modulo_parallel.cpp gate the same invariant end to end).
- * Restarts are *not* exact — retained no-goods redistribute attempt
- * budgets, which may legitimately change which schedule is found — so
- * restart results are pinned by what cannot legally vary: the search
- * succeeds, the schedule passes the independent validator, the II
- * respects MII, and the whole thing is deterministic run to run.
+ * Adaptive ordering is *exact*: it may only permute attempt launch
+ * order and bound the speculation window, so these tests assert
+ * byte-identical listings and fixed-order equivalence (the golden
+ * suites in test_modulo_parallel.cpp gate the same invariant end to
+ * end).
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/export.hpp"
-#include "core/nogood.hpp"
 #include "core/sched_context.hpp"
 #include "kernels/kernels.hpp"
 #include "machine/builders.hpp"
@@ -36,24 +26,6 @@
 
 namespace cs {
 namespace {
-
-// ---------------------------------------------------------------- Luby
-
-TEST(Luby, CanonicalPrefix)
-{
-    const std::uint64_t expected[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
-                                      1, 1, 2, 4, 8, 1, 1, 2, 1};
-    for (std::size_t i = 0; i < std::size(expected); ++i)
-        EXPECT_EQ(lubySequence(i + 1), expected[i]) << "i=" << i + 1;
-}
-
-TEST(Luby, PowersAppearAtTheirPositions)
-{
-    // u_(2^k - 1) = 2^(k-1): the subsequence of fresh maxima.
-    for (std::uint64_t k = 1; k <= 20; ++k)
-        EXPECT_EQ(lubySequence((std::uint64_t{1} << k) - 1),
-                  std::uint64_t{1} << (k - 1));
-}
 
 // ------------------------------------------------------------- planner
 
@@ -204,10 +176,8 @@ TEST(AdaptivePortfolio, ShapeKeySeparatesMachinesAndSizes)
 
 TEST(AdaptiveCacheKey, NewOptionsPerturbTheJobKey)
 {
-    // The content-addressed cache must not serve a restart-mode result
-    // to a default-mode request (restart results may legally differ),
-    // and flipping adaptivity must re-key as well (cheap insurance,
-    // though results cannot differ).
+    // Flipping adaptivity re-keys the job: cheap insurance, though
+    // results cannot differ.
     Machine central = makeCentral();
     ScheduleJob a;
     a.kernel = allKernels().front().build();
@@ -217,199 +187,6 @@ TEST(AdaptiveCacheKey, NewOptionsPerturbTheJobKey)
     ScheduleJob b = a;
     b.options.adaptiveOrdering = !a.options.adaptiveOrdering;
     EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
-
-    b = a;
-    b.options.restartOnExplosion = true;
-    EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
-
-    b = a;
-    b.options.restartBaseNodes = a.options.restartBaseNodes * 2;
-    EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
-}
-
-// -------------------------------------------------------- no-good table
-
-TEST(NoGoodTable, EvictionIsLossyButNeverWrong)
-{
-    // Push far past the slot cap so home-slot overwrites occur, then
-    // check the one property eviction must preserve: contains() never
-    // affirms a signature that was not inserted. Forgetting is safe
-    // (costs a re-search); inventing would corrupt schedules.
-    NoGoodTable table;
-    const std::uint64_t kInserted = 150000; // > 3/4 * kMaxSlots
-    auto sigOf = [](std::uint64_t i) {
-        return (i + 1) * 0x9e3779b97f4a7c15ULL; // odd multiplier, unique
-    };
-    for (std::uint64_t i = 0; i < kInserted; ++i)
-        table.insert(sigOf(i));
-    EXPECT_GT(table.evictions(), 0u);
-    EXPECT_LE(table.size(), NoGoodTable::kMaxSlots);
-
-    std::uint64_t remembered = 0;
-    for (std::uint64_t i = 0; i < kInserted; ++i)
-        remembered += table.contains(sigOf(i)) ? 1 : 0;
-    EXPECT_GT(remembered, 0u); // lossy, not amnesiac
-    // Never wrong: signatures that were never inserted stay absent.
-    for (std::uint64_t i = 0; i < 10000; ++i)
-        EXPECT_FALSE(table.contains(sigOf(kInserted + i)));
-}
-
-TEST(NoGoodTable, BelowCapacityIsExact)
-{
-    NoGoodTable table;
-    for (std::uint64_t i = 1; i <= 500; ++i)
-        EXPECT_TRUE(table.insert(i * 7919));
-    EXPECT_EQ(table.size(), 500u);
-    EXPECT_EQ(table.evictions(), 0u);
-    for (std::uint64_t i = 1; i <= 500; ++i)
-        EXPECT_TRUE(table.contains(i * 7919));
-    EXPECT_FALSE(table.insert(7919)); // duplicate
-}
-
-// ---------------------------------------------- no-good exchange (TSan)
-
-/**
- * Concurrent publish/snapshot/size churn. Named NoGoodExchangeTsan so
- * the tests/CMakeLists.txt sanitize filter routes it into the TSan
- * build (see CS_SANITIZE_TESTS): the lock-free reader protocol —
- * acquire-load of the count making the slab prefix visible — is
- * exactly what TSan must vet.
- */
-TEST(NoGoodExchangeTsan, ConcurrentPublishAndSnapshotAgree)
-{
-    NoGoodExchange exchange;
-    constexpr int kWriters = 3;
-    constexpr int kReaders = 3;
-    constexpr std::uint64_t kPerWriter = 2000;
-    std::atomic<bool> stop{false};
-
-    auto writer = [&exchange](int id) {
-        std::vector<std::uint64_t> batch;
-        for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-            batch.push_back(
-                (static_cast<std::uint64_t>(id) << 32) | (i + 1));
-            if (batch.size() == 64) {
-                exchange.publish(batch);
-                batch.clear();
-            }
-        }
-        exchange.publish(batch);
-    };
-    auto reader = [&exchange, &stop] {
-        std::vector<std::uint64_t> snap;
-        std::size_t lastSize = 0;
-        while (!stop.load(std::memory_order_relaxed)) {
-            exchange.snapshotInto(snap);
-            // The visible prefix only grows, and a snapshot taken
-            // later is a superset prefix of one taken earlier.
-            ASSERT_GE(snap.size(), lastSize);
-            lastSize = snap.size();
-            for (std::uint64_t sig : snap)
-                ASSERT_NE(sig, 0u); // published slots are complete
-        }
-    };
-
-    std::vector<std::thread> threads;
-    for (int r = 0; r < kReaders; ++r)
-        threads.emplace_back(reader);
-    for (int w = 0; w < kWriters; ++w)
-        threads.emplace_back(writer, w);
-    for (int w = 0; w < kWriters; ++w)
-        threads[static_cast<std::size_t>(kReaders + w)].join();
-    stop.store(true);
-    for (int r = 0; r < kReaders; ++r)
-        threads[static_cast<std::size_t>(r)].join();
-
-    // All distinct signatures fit below capacity, so nothing is lost.
-    std::vector<std::uint64_t> final_snap;
-    exchange.snapshotInto(final_snap);
-    EXPECT_EQ(final_snap.size(), kWriters * kPerWriter);
-    EXPECT_EQ(exchange.size(), kWriters * kPerWriter);
-    std::set<std::uint64_t> unique(final_snap.begin(),
-                                   final_snap.end());
-    EXPECT_EQ(unique.size(), final_snap.size()); // dedup held up
-}
-
-TEST(NoGoodExchangeTsan, CapacityBoundsPublishing)
-{
-    NoGoodExchange exchange;
-    std::vector<std::uint64_t> batch(NoGoodExchange::kCapacity + 500);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        batch[i] = i + 1;
-    exchange.publish(batch);
-    EXPECT_EQ(exchange.size(), NoGoodExchange::kCapacity);
-}
-
-// ------------------------------------------------------------ restarts
-
-/** Smallest Table-1 kernel whose winning clustered2 attempt burns
- *  enough DFS nodes that a tiny Luby budget must trip. */
-const KernelSpec *
-hardKernelOn(const Machine &machine, std::uint64_t minNodes)
-{
-    for (const KernelSpec &spec : allKernels()) {
-        Kernel kernel = spec.build();
-        PipelineResult base =
-            schedulePipelined(kernel, BlockId(0), machine);
-        if (base.success &&
-            base.inner.stats.get("dfs_nodes") >= minNodes)
-            return &spec;
-    }
-    return nullptr;
-}
-
-TEST(Restart, DefaultOff)
-{
-    EXPECT_FALSE(SchedulerOptions{}.restartOnExplosion);
-}
-
-TEST(Restart, ForcedRestartsStillProduceAValidSchedule)
-{
-    setVerboseLogging(false);
-    Machine machine = makeClustered({}, 2);
-    const KernelSpec *spec = hardKernelOn(machine, 2000);
-    if (spec == nullptr)
-        GTEST_SKIP() << "no kernel expensive enough to force restarts";
-    Kernel kernel = spec->build();
-
-    SchedulerOptions options;
-    options.restartOnExplosion = true;
-    options.restartBaseNodes = 64; // far below the observed search
-
-    PipelineResult restarted =
-        schedulePipelined(kernel, BlockId(0), machine, options);
-    ASSERT_TRUE(restarted.success) << spec->name;
-    EXPECT_GT(restarted.inner.stats.get("restarts"), 0u)
-        << spec->name << ": the tiny Luby budget never tripped";
-
-    // The exactness pins restart mode *can* honor: a legal schedule
-    // (independent validator), at a legal II, deterministically.
-    EXPECT_TRUE(validateSchedule(restarted.inner.kernel, machine,
-                                 restarted.inner.schedule)
-                    .empty());
-    EXPECT_GE(restarted.ii,
-              std::max(restarted.resMii, restarted.recMii));
-
-    PipelineResult again =
-        schedulePipelined(kernel, BlockId(0), machine, options);
-    ASSERT_TRUE(again.success);
-    EXPECT_EQ(again.ii, restarted.ii);
-    EXPECT_EQ(exportListing(again.inner.kernel, machine,
-                            again.inner.schedule),
-              exportListing(restarted.inner.kernel, machine,
-                            restarted.inner.schedule));
-}
-
-TEST(Restart, LatchIsInvisibleWhenDisabled)
-{
-    // With the mode off, runAttemptWithRestarts is exactly one run:
-    // identical listing and no "restarts" counter.
-    setVerboseLogging(false);
-    Machine machine = makeCentral();
-    Kernel kernel = allKernels().front().build();
-    PipelineResult base = schedulePipelined(kernel, BlockId(0), machine);
-    ASSERT_TRUE(base.success);
-    EXPECT_EQ(base.inner.stats.get("restarts"), 0u);
 }
 
 // ---------------------------------------------- serial-inline (warmed)

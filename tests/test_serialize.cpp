@@ -226,6 +226,149 @@ TEST(SerializeJobSet, CrossReferencesValidated)
 }
 
 // ---------------------------------------------------------------------
+// Retired option keys: the three failure-learning switches the search
+// no longer has stay readable in both forms, and the binary layout
+// keeps their bytes, so older daemons sharing a cache directory still
+// decode what new clients send.
+// ---------------------------------------------------------------------
+
+/** A two-job set (block and pipelined) with default options. */
+serve::JobSet
+retiredKeySet()
+{
+    serve::JobSet set;
+    set.machines.push_back(makeCentral());
+    set.kernels.push_back(kernelByName("DCT").build());
+    for (bool pipelined : {false, true}) {
+        serve::JobDescription job;
+        job.label = pipelined ? "modulo" : "block";
+        job.pipelined = pipelined;
+        set.jobs.push_back(std::move(job));
+    }
+    return set;
+}
+
+/** The text form with the retired keys written into every options
+ *  block, as job sets printed before their removal carry them. */
+std::string
+withRetiredKeys(std::string text, const std::string &value)
+{
+    const std::string anchor = "retry_variants true\n";
+    const std::string retired = "      no_good_cache " + value +
+                                "\n      conflict_backjumping " + value +
+                                "\n      cross_attempt_no_goods " +
+                                value + "\n";
+    for (std::size_t at = text.find(anchor); at != std::string::npos;
+         at = text.find(anchor, at)) {
+        at += anchor.size();
+        text.insert(at, retired);
+        at += retired.size();
+    }
+    return text;
+}
+
+std::vector<std::uint64_t>
+jobKeysOf(const serve::JobSet &set)
+{
+    std::vector<std::uint64_t> keys;
+    for (const ScheduleJob &job : serve::jobSetToScheduleJobs(set))
+        keys.push_back(scheduleJobKey(job));
+    return keys;
+}
+
+/** The binary form in the option layout that still had the three
+ *  failure-learning switches, each written as @p retired. */
+std::vector<std::uint8_t>
+legacyJobSetBytes(const serve::JobSet &set, bool retired)
+{
+    std::vector<std::uint8_t> bytes;
+    wire::ByteWriter w(bytes);
+    w.u32(1); // jobset format version
+    w.u32(static_cast<std::uint32_t>(set.machines.size()));
+    for (const Machine &machine : set.machines)
+        encodeMachine(w, machine);
+    w.u32(static_cast<std::uint32_t>(set.kernels.size()));
+    for (const Kernel &kernel : set.kernels)
+        encodeKernel(w, kernel);
+    w.u32(static_cast<std::uint32_t>(set.jobs.size()));
+    for (const serve::JobDescription &job : set.jobs) {
+        w.str(job.label);
+        w.u32(job.machineIndex);
+        w.u32(job.kernelIndex);
+        w.u32(job.blockIndex);
+        w.boolean(job.pipelined);
+        w.i32(job.maxIiSlack);
+        const SchedulerOptions &o = job.options;
+        w.boolean(o.operationOrder);
+        w.boolean(o.commCostHeuristic);
+        w.i32(o.maxDelay);
+        w.i32(o.moduloWindowFactor);
+        w.i32(o.permutationBudget);
+        w.i32(o.maxCopyDepth);
+        w.u64(o.perOpAttemptBudget);
+        w.u64(o.copyAttemptBudget);
+        w.boolean(o.retryVariants);
+        w.boolean(retired); // no_good_cache
+        w.boolean(retired); // conflict_backjumping
+        w.boolean(retired); // cross_attempt_no_goods
+    }
+    return bytes;
+}
+
+TEST(SerializeJobSet, RetiredTextKeysParseAndAreIgnored)
+{
+    serve::JobSet set = retiredKeySet();
+    const std::string text = serve::printJobSetToString(set);
+    EXPECT_EQ(text.find("no_good_cache"), std::string::npos);
+
+    for (const char *value : {"true", "false"}) {
+        std::string legacy = withRetiredKeys(text, value);
+        ASSERT_NE(legacy, text);
+        std::optional<serve::JobSet> parsed;
+        std::string error;
+        ASSERT_TRUE(serve::parseJobSetText(legacy, &parsed, &error))
+            << value << ": " << error;
+        EXPECT_EQ(serve::printJobSetToString(*parsed), text) << value;
+        EXPECT_EQ(jobKeysOf(*parsed), jobKeysOf(set)) << value;
+    }
+
+    // Still typed: a retired key takes a boolean or nothing.
+    std::optional<serve::JobSet> parsed;
+    std::string error;
+    std::string bad = text;
+    bad.insert(bad.find("retry_variants"), "no_good_cache 1\n      ");
+    EXPECT_FALSE(serve::parseJobSetText(bad, &parsed, &error));
+    EXPECT_NE(error.find("true"), std::string::npos) << error;
+}
+
+TEST(SerializeJobSet, BinaryKeepsTheRetiredOptionBytes)
+{
+    serve::JobSet set = retiredKeySet();
+
+    // A new client's frame is byte for byte what the old codec wrote
+    // for the same defaults, so request sizes and older readers are
+    // unaffected.
+    std::vector<std::uint8_t> bytes;
+    wire::ByteWriter writer(bytes);
+    serve::encodeJobSet(writer, set);
+    EXPECT_EQ(bytes, legacyJobSetBytes(set, true));
+
+    // Frames from old clients decode, whatever the retired bytes held.
+    for (bool retired : {true, false}) {
+        std::vector<std::uint8_t> legacy =
+            legacyJobSetBytes(set, retired);
+        wire::ByteReader reader(legacy);
+        std::optional<serve::JobSet> decoded;
+        ASSERT_TRUE(serve::decodeJobSet(reader, &decoded))
+            << reader.error();
+        EXPECT_TRUE(reader.atEnd());
+        EXPECT_EQ(serve::printJobSetToString(*decoded),
+                  serve::printJobSetToString(set));
+        EXPECT_EQ(jobKeysOf(*decoded), jobKeysOf(set));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Golden-listing equivalence from parsed descriptions
 // ---------------------------------------------------------------------
 
