@@ -32,8 +32,9 @@
  *   --trace=FILE    enable the span tracer and write a Chrome
  *                   trace_event JSON file (load in chrome://tracing or
  *                   Perfetto) covering the whole batch
- *   --metrics=FILE  write the unified metrics registry (counters,
- *                   timers, histograms) as JSON
+ *   --metrics=FILE  write the unified metrics registry as JSON:
+ *                   counters plus the batch.round and job.wall
+ *                   streaming histograms (microseconds)
  *   --telemetry=FILE
  *                   run the time-series sampler for the duration of
  *                   the batch: one JSONL snapshot per interval
@@ -289,6 +290,7 @@ main(int argc, char **argv)
     }
 
     MetricsRegistry metrics;
+    StreamingHistogram &roundUs = metrics.streamingHistogram("batch.round");
     double totalMs = 0.0;
     std::vector<JobResult> results;
     for (int round = 0; round < args.repeat; ++round) {
@@ -299,7 +301,7 @@ main(int argc, char **argv)
             std::chrono::duration<double, std::milli>(end - start)
                 .count();
         totalMs += ms;
-        metrics.recordTimeMs("batch.round", ms);
+        roundUs.record(static_cast<std::uint64_t>(ms * 1000.0));
         std::cout << "round " << (round + 1) << ": "
                   << TextTable::num(ms, 1) << " ms, "
                   << TextTable::num(1000.0 * batch.size() / ms, 1)
@@ -429,8 +431,9 @@ main(int argc, char **argv)
         metrics.counters().bump("cache.hits", cache.hits);
         metrics.counters().bump("cache.misses", cache.misses);
         metrics.counters().bump("cache.evictions", cache.evictions);
+        StreamingHistogram &jobUs = metrics.streamingHistogram("job.wall");
         for (const JobResult &r : results)
-            metrics.recordTimeMs("job.wall", r.wallMs);
+            jobUs.record(static_cast<std::uint64_t>(r.wallMs * 1000.0));
         std::ofstream out(args.metricsFile);
         if (!out) {
             std::cerr << "cs_batch: cannot write metrics file '"

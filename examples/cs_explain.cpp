@@ -265,7 +265,7 @@ main(int argc, char **argv)
         if (stats.get("ii_search.serial_inline") > 0) {
             std::cout << "  mode: serial-inline (portfolio says the "
                          "first attempt wins this shape)\n";
-        } else if (stats.get("ii_search.adaptive") > 0) {
+        } else if (stats.get("ii_search.window") > 0) {
             std::cout << "  mode: speculative, window "
                       << stats.get("ii_search.window") << "\n";
         } else {

@@ -8,7 +8,7 @@
  *   cs_serve [--socket PATH] [--listen-tcp HOST:PORT] [--threads N]
  *            [--cache N] [--cache-dir DIR] [--cache-shards N]
  *            [--ownership-retry-ms N] [--max-inflight N]
- *            [--ii-workers N] [--no-fast-path] [--telemetry FILE]
+ *            [--ii-workers N] [--telemetry FILE]
  *            [--telemetry-interval-ms N]
  *
  *   --socket PATH     Unix-domain socket to listen on
@@ -29,8 +29,6 @@
  *   --ii-workers N    dedicated speculative II-search workers
  *                     (default 0 = serial sweep; "auto" sizes to the
  *                     hardware, serial on a single core)
- *   --no-fast-path    disable the reader-thread warm-hit fast path
- *                     (for A/B latency measurements)
  *   --telemetry FILE  append one JSONL telemetry snapshot per interval
  *                     (counters + deltas, RSS, latency quantiles,
  *                     per-shard sizes — support/telemetry.hpp); the
@@ -69,8 +67,7 @@ usage(std::ostream &os)
           "                [--threads N] [--cache N] [--cache-dir DIR]\n"
           "                [--cache-shards N] [--ownership-retry-ms N]\n"
           "                [--max-inflight N] [--ii-workers N]\n"
-          "                [--no-fast-path] [--telemetry FILE]\n"
-          "                [--telemetry-interval-ms N]\n";
+          "                [--telemetry FILE] [--telemetry-interval-ms N]\n";
 }
 
 } // namespace
@@ -97,8 +94,6 @@ main(int argc, char **argv)
             config.socketPath = value("--socket");
         } else if (arg == "--listen-tcp") {
             config.listenTcp = value("--listen-tcp");
-        } else if (arg == "--no-fast-path") {
-            config.readerFastPath = false;
         } else if (arg == "--threads") {
             config.workerThreads = static_cast<unsigned>(
                 std::atoi(value("--threads").c_str()));

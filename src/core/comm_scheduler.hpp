@@ -85,16 +85,6 @@ struct SchedulerOptions
      * configuration in isolation (ablation studies).
      */
     bool retryVariants = true;
-    /**
-     * Let the speculative parallel II search pick launch order,
-     * speculation window, and serial-vs-speculative per block from
-     * the reject-reason mix and the cross-job portfolio
-     * (pipeline/adaptive.hpp). Exact: the commit rule still selects
-     * the serial sweep's winner, so listings are byte-identical either
-     * way (DESIGN.md section 5g). Part of the cache key
-     * (pipeline/job.cpp hashOptions) all the same.
-     */
-    bool adaptiveOrdering = true;
 };
 
 /** Outcome of scheduling one block. */

@@ -120,7 +120,7 @@ class PortfolioStats
                     &rejects,
                 std::uint64_t dfsNodes);
 
-    /** Forget everything (tests and benchmark mode isolation). */
+    /** Forget everything (test isolation). */
     void clear();
 
     std::size_t size() const;

@@ -74,23 +74,13 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
 
     // The adaptive layer (pipeline/adaptive.hpp): classify the block,
     // consult the cross-job portfolio, and let the planner choose the
-    // launch order and speculation depth. With adaptiveOrdering off
-    // the planner receives no history and no feedback, which makes
-    // nextLaunch() exactly the fixed ascending sweep — one controller
-    // covers both modes. Either way the commit rule below ("smallest
-    // successful k") returns the serial winner byte-for-byte.
-    const bool adaptive = options.adaptiveOrdering;
-    std::uint64_t shapeKey = 0;
-    PortfolioProfile profile;
-    if (adaptive) {
-        shapeKey = classifyBlock(context).shapeKey();
-        profile = PortfolioStats::global().lookup(shapeKey);
-    }
-    AttemptPlanner planner(total, num_variants, profile);
-    AttemptPlanner::Plan plan;
-    plan.window = window;
-    if (adaptive)
-        plan = planner.plan(window);
+    // launch order and speculation depth. The commit rule below
+    // ("smallest successful k") still returns the serial winner
+    // byte-for-byte.
+    const std::uint64_t shapeKey = classifyBlock(context).shapeKey();
+    AttemptPlanner planner(total, num_variants,
+                           PortfolioStats::global().lookup(shapeKey));
+    const AttemptPlanner::Plan plan = planner.plan(window);
 
     auto externally_aborted = [&config] {
         return config.abort != nullptr &&
@@ -145,7 +135,6 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
         CounterSet &stats = result.inner.stats;
         stats.bump("ii_search.attempts_launched",
                    static_cast<std::uint64_t>(result.attempts));
-        stats.bump("ii_search.adaptive", 1);
         stats.bump("ii_search.serial_inline", 1);
         return result;
     }
@@ -199,7 +188,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
             CS_TRACE_INSTANT2("ii_cancel", "attempt", k, "latency_us",
                               latency_us);
         }
-        if (adaptive && !a.result.cancelled) {
+        if (!a.result.cancelled) {
             // Reject-driven reordering: the attempt's observed reject
             // mix shifts which retry variant launches first at the
             // IIs still ahead. Launch order only — commitment stays
@@ -270,7 +259,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
                                std::to_string(maxIiSlack);
     }
 
-    if (adaptive && !result.inner.cancelled) {
+    if (!result.inner.cancelled) {
         PortfolioStats::global().record(
             shapeKey, best < total ? best : -1, num_variants,
             planner.rejectTotals(), planner.dfsNodeTotal());
@@ -287,11 +276,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
         stats.bump("ii_search.attempts_cancelled", num_cancelled);
         stats.bump("ii_search.cancel_latency_us", cancel_latency_us);
     }
-    if (adaptive) {
-        stats.bump("ii_search.adaptive", 1);
-        stats.bump("ii_search.window",
-                   static_cast<std::uint64_t>(plan.window));
-    }
+    stats.bump("ii_search.window", static_cast<std::uint64_t>(plan.window));
     return result;
 }
 

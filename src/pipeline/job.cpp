@@ -6,6 +6,7 @@
 #include "core/export.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/schedule.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
 
@@ -13,22 +14,15 @@ namespace cs {
 
 namespace {
 
-/** Incremental 64-bit FNV-1a hasher. */
+/** Incremental byte-wise 64-bit FNV-1a hasher over typed fields. */
 struct Fnv1a
 {
-    static constexpr std::uint64_t kOffset = 14695981039346656037ull;
-    static constexpr std::uint64_t kPrime = 1099511628211ull;
-
-    std::uint64_t state = kOffset;
+    std::uint64_t state = kFnvOffsetBasis;
 
     void
     bytes(const void *data, std::size_t size)
     {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i) {
-            state ^= p[i];
-            state *= kPrime;
-        }
+        state = fnv1aBytes(data, size, state);
     }
 
     void u8(std::uint8_t v) { bytes(&v, sizeof v); }
@@ -156,7 +150,9 @@ hashOptions(const SchedulerOptions &options)
     h.u64(options.perOpAttemptBudget);
     h.u64(options.copyAttemptBudget);
     h.boolean(options.retryVariants);
-    h.boolean(options.adaptiveOrdering);
+    // A retired option's slot, hashed as its old default (true), so
+    // keys stay equal to those already stored in persistent caches.
+    h.boolean(true);
     return h.state;
 }
 

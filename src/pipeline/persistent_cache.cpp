@@ -11,6 +11,7 @@
 #include <unistd.h>
 
 #include "pipeline/result_io.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 
 namespace cs {
@@ -20,17 +21,6 @@ namespace {
 /** Cap a single record's payload; shields the open-scan and reads
  *  from hostile/corrupt lengths. */
 constexpr std::uint32_t kMaxPayload = 256u << 20;
-
-std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t state = 14695981039346656037ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        state ^= data[i];
-        state *= 1099511628211ull;
-    }
-    return state;
-}
 
 /** write(2) until done; false on any error (EINTR retried). */
 bool
@@ -103,7 +93,7 @@ footerBlockValid(const std::uint8_t *bytes, std::size_t size,
     if (wire::loadU64le(bytes + size - 20) != dataEnd)
         return false;
     std::uint64_t check = wire::loadU64le(bytes + size - 12);
-    if (fnv1a(footer, footerBytes - 12) != check)
+    if (fnv1aBytes(footer, footerBytes - 12) != check)
         return false;
     *countOut = count;
     return true;
@@ -342,7 +332,7 @@ PersistentScheduleCache::loadFromScan(Shard &shard,
             break; // torn tail: record written partially
         const std::uint8_t *payload = p + kShardRecordHeaderBytes;
         std::uint64_t check = wire::loadU64le(payload + length);
-        if (fnv1a(payload, length) != check)
+        if (fnv1aBytes(payload, length) != check)
             break;
         shard.index[key] = {pos + kShardRecordHeaderBytes, length};
         ++loaded;
@@ -382,7 +372,7 @@ PersistentScheduleCache::writeFooter(Shard &shard)
         wire::appendU32le(footer, span.second);
     }
     wire::appendU64le(footer, shard.appendPos); // dataEnd
-    wire::appendU64le(footer, fnv1a(footer.data(), footer.size()));
+    wire::appendU64le(footer, fnv1aBytes(footer.data(), footer.size()));
     wire::appendU32le(footer, kShardFooterTailMagic);
     // O_APPEND lands the footer at EOF == appendPos. A torn footer
     // write is harmless: the next open fails its validation and falls
@@ -449,7 +439,7 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     JobResult result;
     if (ok) {
         std::uint64_t check = wire::loadU64le(payload + length);
-        ok = fnv1a(payload, length) == check;
+        ok = fnv1aBytes(payload, length) == check;
     }
     if (ok) {
         wire::ByteReader reader(
@@ -495,7 +485,7 @@ PersistentScheduleCache::insert(std::uint64_t key,
     wire::appendU32le(record,
                       static_cast<std::uint32_t>(payload.size()));
     record.insert(record.end(), payload.begin(), payload.end());
-    wire::appendU64le(record, fnv1a(payload.data(), payload.size()));
+    wire::appendU64le(record, fnv1aBytes(payload.data(), payload.size()));
 
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);

@@ -213,7 +213,7 @@ class PersistentScheduleCache
      * Remove valid index footers from every shard file in
      * @p directory, leaving only the records — the state a crashed
      * daemon (which never reached its clean close) leaves behind.
-     * Test/bench hook for exercising the scan fallback; returns how
+     * Test hook for exercising the scan fallback; returns how
      * many footers were stripped. Must not race a live cache on the
      * same directory.
      */

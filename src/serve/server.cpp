@@ -488,36 +488,31 @@ ScheduleServer::handleRequest(
         return;
     }
 
-    if (config_.readerFastPath) {
-        // Warm-hit fast path: probe the cache here on the reader
-        // thread and reply without the pipeline queue hop. Exactness:
-        // lookupCached is the same code runOne dispatches through, so
-        // the result summary, status mapping, and counters are
-        // identical to the dispatched path — only the hop is gone. A
-        // hit holds no worker and is never rejected (it occupies an
-        // in-flight slot only for the microseconds of the probe and
-        // reply); a miss falls through and pays one redundant (cheap)
-        // cache probe.
-        ScheduleJob probe = jobSetToScheduleJobs(request.jobs).front();
-        if (std::optional<JobResult> hit =
-                pipeline_.lookupCached(probe)) {
-            metrics_.counters().bump("serve.fast_path_hits");
-            summarizeResult(*hit, &response);
-            if (!hit->success) {
-                metrics_.counters().bump("serve.errors");
-                response.status = ResponseStatus::Error;
-                response.message = hit->sched.failure;
-            } else {
-                metrics_.counters().bump("serve.ok");
-                response.status = ResponseStatus::Ok;
-            }
-            metrics_.recordTimeMs("serve.request", hit->wallMs);
-            phaseAdmit_->record(elapsedUs(decoded, Clock::now()));
-            replyAndFinish(latencyWarm_);
-            return;
+    // Warm-hit fast path: probe the cache here on the reader thread
+    // and reply without the pipeline queue hop. Exactness:
+    // lookupCached is the same code runOne dispatches through, so the
+    // result summary, status mapping, and counters are identical to
+    // the dispatched path — only the hop is gone. A hit holds no
+    // worker and is never rejected (it occupies an in-flight slot only
+    // for the microseconds of the probe and reply); a miss falls
+    // through and pays one redundant (cheap) cache probe.
+    ScheduleJob probe = jobSetToScheduleJobs(request.jobs).front();
+    if (std::optional<JobResult> hit = pipeline_.lookupCached(probe)) {
+        metrics_.counters().bump("serve.fast_path_hits");
+        summarizeResult(*hit, &response);
+        if (!hit->success) {
+            metrics_.counters().bump("serve.errors");
+            response.status = ResponseStatus::Error;
+            response.message = hit->sched.failure;
+        } else {
+            metrics_.counters().bump("serve.ok");
+            response.status = ResponseStatus::Ok;
         }
-        metrics_.counters().bump("serve.fast_path_misses");
+        phaseAdmit_->record(elapsedUs(decoded, Clock::now()));
+        replyAndFinish(latencyWarm_);
+        return;
     }
+    metrics_.counters().bump("serve.fast_path_misses");
 
     // Admission control: a bounded in-flight count is the whole
     // policy — cheap, and overload is visible to the client instead
@@ -569,7 +564,6 @@ ScheduleServer::handleRequest(
                 metrics_.counters().bump("serve.ok");
                 reply.status = ResponseStatus::Ok;
             }
-            metrics_.recordTimeMs("serve.request", result.wallMs);
             // Phase split: wallMs is the pure scheduling time the
             // pipeline measured; what else passed since dispatch is
             // queueing (worker wait + dedup joins).

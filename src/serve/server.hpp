@@ -62,13 +62,6 @@ struct ServerConfig
      * Same framed protocol and version check as the UDS listener.
      */
     std::string listenTcp;
-    /**
-     * Probe the schedule cache on the connection reader thread and
-     * answer warm hits without dispatching to the pipeline (DESIGN.md
-     * §5h). Responses are byte-identical either way; this only removes
-     * the queue hop from warm p99.
-     */
-    bool readerFastPath = true;
     /** Pipeline worker threads; 0 = hardware concurrency. */
     unsigned workerThreads = 0;
     /** Memory-tier schedule-cache entries. */

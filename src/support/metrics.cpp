@@ -3,93 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <ostream>
+#include <vector>
 
 namespace cs {
-
-namespace {
-
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    std::size_t idx = static_cast<std::size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[idx];
-}
-
-std::map<std::string, DistributionStats>
-summarizeAll(const std::map<std::string, std::vector<double>> &samples)
-{
-    std::map<std::string, DistributionStats> out;
-    for (const auto &[name, values] : samples)
-        out.emplace(name, summarizeDistribution(values));
-    return out;
-}
-
-void
-writeDistributionObject(std::ostream &os,
-                        const std::map<std::string, DistributionStats> &m,
-                        const char *unitSuffix)
-{
-    os << "{";
-    bool first = true;
-    for (const auto &[name, d] : m) {
-        if (!first)
-            os << ",";
-        first = false;
-        writeJsonQuoted(os, name);
-        os << ":{\"count\":" << d.count << ",\"total" << unitSuffix
-           << "\":" << d.total << ",\"p50" << unitSuffix << "\":" << d.p50
-           << ",\"p95" << unitSuffix << "\":" << d.p95 << ",\"max"
-           << unitSuffix << "\":" << d.max << "}";
-    }
-    os << "}";
-}
-
-} // namespace
-
-DistributionStats
-summarizeDistribution(std::vector<double> samples)
-{
-    DistributionStats stats;
-    if (samples.empty())
-        return stats;
-    std::sort(samples.begin(), samples.end());
-    stats.count = samples.size();
-    for (double v : samples)
-        stats.total += v;
-    stats.p50 = percentile(samples, 0.50);
-    stats.p95 = percentile(samples, 0.95);
-    stats.max = samples.back();
-    return stats;
-}
-
-void
-MetricsRegistry::recordTimeMs(const std::string &name, double ms)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    timers_[name].push_back(ms);
-}
-
-void
-MetricsRegistry::recordValue(const std::string &name, double value)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    histograms_[name].push_back(value);
-}
-
-std::map<std::string, DistributionStats>
-MetricsRegistry::timerSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return summarizeAll(timers_);
-}
-
-std::map<std::string, DistributionStats>
-MetricsRegistry::histogramSnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return summarizeAll(histograms_);
-}
 
 StreamingHistogram &
 MetricsRegistry::streamingHistogram(const std::string &name)
@@ -136,10 +52,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
 {
     os << "{\"counters\":";
     writeAllCounters(os, counters_);
-    os << ",\"timers\":";
-    writeDistributionObject(os, timerSnapshot(), "_ms");
-    os << ",\"histograms\":";
-    writeDistributionObject(os, histogramSnapshot(), "");
     os << ",\"streaming\":{";
     bool first = true;
     for (const auto &[name, snapshot] : streamingSnapshot()) {

@@ -1,19 +1,17 @@
 /**
  * @file
  * Unified metrics surface for the front-ends and benches: one
- * registry holding named counters (a CounterSet), timers, and value
- * histograms behind a single snapshot/JSON API, plus the low-level
- * JSON writers the bench harnesses use so nobody hand-rolls stats
- * blocks.
+ * registry holding named counters (a CounterSet), streaming
+ * histograms and gauges behind a single snapshot/JSON API, plus the
+ * low-level JSON writers the front-ends use so nobody hand-rolls
+ * stats blocks.
  *
  * Counters are monotonically increasing integers ("ops_scheduled").
- * Timers and histograms are both sample distributions — a timer's
- * samples are milliseconds, a histogram's are dimensionless values —
- * summarized as count/total/p50/p95/max on export. Streaming
- * histograms (support/histogram.hpp) are the hot-path variant:
- * fixed-footprint, wait-free to record, snapshot-able from a sampler
- * thread while workers keep recording. Gauges are point-in-time
- * signed levels ("serve.inflight") read and written atomically.
+ * Streaming histograms (support/histogram.hpp) hold sample
+ * distributions in a fixed footprint: wait-free to record,
+ * snapshot-able from a sampler thread while workers keep recording.
+ * Gauges are point-in-time signed levels ("serve.inflight") read and
+ * written atomically.
  */
 
 #ifndef CS_SUPPORT_METRICS_HPP
@@ -26,22 +24,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 #include "support/histogram.hpp"
 #include "support/stats.hpp"
 
 namespace cs {
-
-/** Five-number summary of one timer or histogram. */
-struct DistributionStats
-{
-    std::uint64_t count = 0;
-    double total = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double max = 0.0;
-};
 
 class MetricsRegistry
 {
@@ -50,18 +37,6 @@ class MetricsRegistry
      * scheduler's CounterSet in wholesale. */
     CounterSet &counters() { return counters_; }
     const CounterSet &counters() const { return counters_; }
-
-    /** Record one timer sample, in milliseconds. */
-    void recordTimeMs(const std::string &name, double ms);
-
-    /** Record one histogram sample (dimensionless). */
-    void recordValue(const std::string &name, double value);
-
-    /** Consistent summaries of every timer, keyed by name. */
-    std::map<std::string, DistributionStats> timerSnapshot() const;
-
-    /** Consistent summaries of every histogram, keyed by name. */
-    std::map<std::string, DistributionStats> histogramSnapshot() const;
 
     /**
      * Named streaming histogram, created on first use. The reference
@@ -87,10 +62,6 @@ class MetricsRegistry
      * Emit the whole registry as one JSON object:
      *
      *   {"counters":{...},
-     *    "timers":{"name":{"count":..,"total_ms":..,"p50_ms":..,
-     *                      "p95_ms":..,"max_ms":..},...},
-     *    "histograms":{"name":{"count":..,"total":..,"p50":..,
-     *                          "p95":..,"max":..},...},
      *    "streaming":{"name":{"count":..,"mean":..,"p50":..,"p90":..,
      *                         "p99":..,"p999":..,"max":..},...},
      *    "gauges":{"name":value,...}}
@@ -100,16 +71,11 @@ class MetricsRegistry
   private:
     CounterSet counters_;
     mutable std::mutex mutex_;
-    std::map<std::string, std::vector<double>> timers_;
-    std::map<std::string, std::vector<double>> histograms_;
     std::map<std::string, std::unique_ptr<StreamingHistogram>>
         streaming_;
     std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>>
         gauges_;
 };
-
-/** Summarize one sample set (sorts a copy). */
-DistributionStats summarizeDistribution(std::vector<double> samples);
 
 /** JSON-escape and quote @p s onto @p os. */
 void writeJsonQuoted(std::ostream &os, const std::string &s);
@@ -118,10 +84,10 @@ void writeJsonQuoted(std::ostream &os, const std::string &s);
  * Write the named counters of @p stats as a JSON object in sorted
  * key order: {"a":1,"b":2}. Absent counters print as 0. Sorting is
  * deliberate: every call site (cs_serve statsJson, cs_batch/cs_sweep
- * --json, the bench harnesses) emits the same byte layout for the
- * same name set regardless of the order the caller listed them in,
- * so diffs of BENCH_sched.json and stats dumps never churn on
- * emission order. Pinned by MetricsJson.CounterObjectSortsKeys.
+ * --json) emits the same byte layout for the same name set regardless
+ * of the order the caller listed them in, so diffs of stats dumps
+ * never churn on emission order. Pinned by
+ * MetricsJson.CounterObjectSortsKeys.
  */
 void writeCounterObject(std::ostream &os, const CounterSet &stats,
                         const char *const *names, std::size_t count);

@@ -23,8 +23,9 @@
  *    CS_TRACE_* macros intern once per call site via a static local.
  *  - Runtime toggle: trace::setEnabled(true). When disabled (the
  *    default) every instrumentation point costs one relaxed load and
- *    a predictable branch; bench/perf_smoke.py gates that cost at 2%
- *    of the committed medians (DESIGN.md section 5e).
+ *    a predictable branch. Every untraced perfbench run times this
+ *    build, so that cost is part of each commit-to-commit comparison
+ *    (DESIGN.md section 5e).
  *  - Compile-out: configure with -DCS_TRACING=OFF (which defines
  *    CS_TRACE_DISABLED) and the macros compile to nothing.
  *

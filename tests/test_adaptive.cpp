@@ -20,7 +20,6 @@
 #include "machine/builders.hpp"
 #include "pipeline/adaptive.hpp"
 #include "pipeline/ii_search.hpp"
-#include "pipeline/job.hpp"
 #include "pipeline/thread_pool.hpp"
 #include "support/logging.hpp"
 
@@ -170,23 +169,6 @@ TEST(AdaptivePortfolio, ShapeKeySeparatesMachinesAndSizes)
     // of the features).
     EXPECT_EQ(classifyBlock(onCentral).shapeKey(),
               classifyBlock(onCentral).shapeKey());
-}
-
-// --------------------------------------------------- cache-key closure
-
-TEST(AdaptiveCacheKey, NewOptionsPerturbTheJobKey)
-{
-    // Flipping adaptivity re-keys the job: cheap insurance, though
-    // results cannot differ.
-    Machine central = makeCentral();
-    ScheduleJob a;
-    a.kernel = allKernels().front().build();
-    a.block = BlockId(0);
-    a.machine = &central;
-
-    ScheduleJob b = a;
-    b.options.adaptiveOrdering = !a.options.adaptiveOrdering;
-    EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
 }
 
 // ---------------------------------------------- serial-inline (warmed)

@@ -29,6 +29,7 @@
 #include "machine/builders.hpp"
 #include "pipeline/ii_search.hpp"
 #include "pipeline/pipeline.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 
 #ifndef CS_TEST_DATA_DIR
@@ -37,17 +38,6 @@
 
 namespace cs {
 namespace {
-
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t state = 14695981039346656037ull;
-    for (unsigned char c : data) {
-        state ^= c;
-        state *= 1099511628211ull;
-    }
-    return state;
-}
 
 struct GoldenRecord
 {
@@ -148,7 +138,8 @@ TEST_P(ModuloParallelGolden, MatchesSerialGoldens)
         std::string listing = exportListing(
             result.inner.kernel, machine, result.inner.schedule);
         EXPECT_EQ(listing.size(), it->second.bytes);
-        EXPECT_EQ(fnv1a(listing), it->second.hash)
+        EXPECT_EQ(fnv1aBytes(listing.data(), listing.size()),
+                  it->second.hash)
             << spec.name << " on " << machineName
             << ": parallel listing differs byte-for-byte from serial";
 

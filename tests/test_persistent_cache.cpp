@@ -23,6 +23,7 @@
 #include "pipeline/persistent_cache.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/result_io.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 
@@ -245,18 +246,6 @@ TEST(PersistentCache, CorruptionAfterOpenDegradesToMiss)
     EXPECT_EQ(disk.misses, 1u);
 }
 
-/** FNV-1a 64 as the shard files use it (records and footers). */
-std::uint64_t
-testFnv1a(const std::uint8_t *data, std::size_t size)
-{
-    std::uint64_t state = 14695981039346656037ull;
-    for (std::size_t i = 0; i < size; ++i) {
-        state ^= data[i];
-        state *= 1099511628211ull;
-    }
-    return state;
-}
-
 /** Raw shard-record bytes for @p key, as a crashed or foreign writer
  *  would append them (no footer maintenance). */
 std::vector<std::uint8_t>
@@ -272,7 +261,7 @@ rawRecord(std::uint64_t key, const JobResult &result)
                       static_cast<std::uint32_t>(payload.size()));
     record.insert(record.end(), payload.begin(), payload.end());
     wire::appendU64le(record,
-                      testFnv1a(payload.data(), payload.size()));
+                      fnv1aBytes(payload.data(), payload.size()));
     return record;
 }
 
@@ -380,7 +369,7 @@ TEST(PersistentCache, FooterEntryPastDataEndFallsBackToScan)
     wire::appendU64le(fake, size + 4096); // offset past EOF
     wire::appendU32le(fake, 16);
     wire::appendU64le(fake, size); // dataEnd: this footer's position
-    wire::appendU64le(fake, testFnv1a(fake.data(), fake.size()));
+    wire::appendU64le(fake, fnv1aBytes(fake.data(), fake.size()));
     wire::appendU32le(fake, kShardFooterTailMagic);
     appendBytes(files[0], fake);
 

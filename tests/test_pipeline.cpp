@@ -221,6 +221,19 @@ TEST(Pipeline, ContentKeyIgnoresDebugNames)
     EXPECT_NE(scheduleJobKey(a), scheduleJobKey(b));
 }
 
+TEST(Pipeline, JobKeyIsStable)
+{
+    // The key names a result in every persistent cache directory: a
+    // new value makes every existing directory cold, so it may only
+    // change on purpose.
+    Machine central = makeCentral();
+    ScheduleJob job;
+    job.kernel = kernelByName("FIR-INT").build();
+    job.block = BlockId(0);
+    job.machine = &central;
+    EXPECT_EQ(scheduleJobKey(job), 0xa5d399e1389103acULL);
+}
+
 TEST(ThreadPool, DrainShutdownRunsEverything)
 {
     std::atomic<int> ran{0};

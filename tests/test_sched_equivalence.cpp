@@ -30,6 +30,7 @@
 #include "kernels/kernels.hpp"
 #include "machine/builders.hpp"
 #include "pipeline/pipeline.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 
 #ifndef CS_TEST_DATA_DIR
@@ -38,17 +39,6 @@
 
 namespace cs {
 namespace {
-
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t state = 14695981039346656037ull;
-    for (unsigned char c : data) {
-        state ^= c;
-        state *= 1099511628211ull;
-    }
-    return state;
-}
 
 std::string
 goldenPath()
@@ -156,7 +146,8 @@ TEST_P(SchedEquivalence, ListingsMatchGoldens)
         }
         std::string key = kernelKey + "|" + machineName + "|" +
                           (pipelined ? "modulo" : "block");
-        GoldenRecord fresh{ii, listing.size(), fnv1a(listing)};
+        GoldenRecord fresh{ii, listing.size(),
+                           fnv1aBytes(listing.data(), listing.size())};
         if (regen) {
             freshTable()[key] = fresh;
             continue;
@@ -240,7 +231,9 @@ TEST_P(GoldenViaPipeline, SharedAnalysisKeepsGoldenBytes)
                 EXPECT_EQ(result.ii, it->second.ii) << key;
             }
             EXPECT_EQ(result.listing.size(), it->second.bytes) << key;
-            EXPECT_EQ(fnv1a(result.listing), it->second.hash)
+            EXPECT_EQ(fnv1aBytes(result.listing.data(),
+                                 result.listing.size()),
+                      it->second.hash)
                 << key << " v" << variant
                 << ": listing through the shared-analysis pipeline "
                    "diverged from the golden";

@@ -26,6 +26,7 @@
 #include "machine/builders.hpp"
 #include "machine/serialize.hpp"
 #include "serve/proto.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/wire.hpp"
 
@@ -372,17 +373,6 @@ TEST(SerializeJobSet, BinaryKeepsTheRetiredOptionBytes)
 // Golden-listing equivalence from parsed descriptions
 // ---------------------------------------------------------------------
 
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t state = 14695981039346656037ull;
-    for (unsigned char c : data) {
-        state ^= c;
-        state *= 1099511628211ull;
-    }
-    return state;
-}
-
 struct GoldenRecord
 {
     int ii = 0;
@@ -436,7 +426,8 @@ expectGolden(const std::string &key, int ii, const std::string &listing)
     ASSERT_NE(it, goldenTable().end()) << "no golden for " << key;
     EXPECT_EQ(ii, it->second.ii) << key;
     EXPECT_EQ(listing.size(), it->second.bytes) << key;
-    EXPECT_EQ(fnv1a(listing), it->second.hash)
+    EXPECT_EQ(fnv1aBytes(listing.data(), listing.size()),
+              it->second.hash)
         << key << ": schedule from parsed description diverged from "
                   "the in-process builders";
 }

@@ -14,7 +14,8 @@
  * fast-path test pins byte-identity of reader-thread warm hits against
  * pipeline-dispatched responses, and ServeSoak (perf label, not tier1)
  * is a short open-loop soak with connection + cache churn and deadline
- * pressure — CS_SOAK_MS stretches it to a real soak.
+ * pressure that ends by checking fds and mappings came back once the
+ * daemon is gone — CS_SOAK_MS stretches it to a real soak.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +33,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -465,6 +468,16 @@ mappingCount()
     return lines;
 }
 
+/** Open file descriptors of this process (entries of /proc/self/fd,
+ *  the one the iteration itself holds included). */
+std::size_t
+fdCount()
+{
+    namespace fs = std::filesystem;
+    return static_cast<std::size_t>(std::distance(
+        fs::directory_iterator("/proc/self/fd"), fs::directory_iterator{}));
+}
+
 TEST(Serve, ConnectionChurnReapsFinishedThreads)
 {
     setVerboseLogging(false);
@@ -719,28 +732,18 @@ TEST(Serve, FastPathMatchesDispatchedWarmResponses)
     serve::JobSet set = oneJobSet("FIR-INT");
     std::string error;
 
-    // Reference daemon: fast path off, warm hits dispatch through the
-    // pipeline queue.
+    // Reference: what the dispatched path replies for a warm hit — an
+    // in-process pipeline's cached result through summarizeResult.
     serve::Response dispatched;
     {
-        serve::ServerConfig config =
-            baseConfig(testSocketPath("fp_off"));
-        config.readerFastPath = false;
-        serve::ScheduleServer server(config);
-        ASSERT_TRUE(server.start());
-        serve::ScheduleClient client;
-        ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
-        serve::Response cold;
-        ASSERT_TRUE(client.schedule(set, 0, &cold, &error)) << error;
-        ASSERT_EQ(cold.status, serve::ResponseStatus::Ok);
-        ASSERT_TRUE(client.schedule(set, 0, &dispatched, &error))
-            << error;
-        ASSERT_EQ(dispatched.status, serve::ResponseStatus::Ok);
-        ASSERT_TRUE(dispatched.cacheHit);
-        EXPECT_EQ(server.metrics().counters().get(
-                      "serve.fast_path_hits"),
-                  0u);
-        server.stop();
+        PipelineConfig pipelineConfig;
+        pipelineConfig.numThreads = 2;
+        SchedulingPipeline pipeline(pipelineConfig);
+        std::vector<ScheduleJob> jobs = serve::jobSetToScheduleJobs(set);
+        ASSERT_TRUE(pipeline.run(jobs).front().success);
+        JobResult warm = pipeline.run(jobs).front();
+        ASSERT_TRUE(warm.cacheHit);
+        serve::summarizeResult(warm, &dispatched);
     }
 
     // Fast-path daemon: the warm hit is answered on the reader thread
@@ -1164,9 +1167,11 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
     config.cacheDirectory = freshCacheDir("cs_serve_soak");
     config.cacheShards = 4;
     config.maxInFlight = 32;
-    serve::ScheduleServer server(config);
-    ASSERT_TRUE(server.start());
-    std::string address = tcpAddress(server);
+    const std::size_t fdsAtStart = fdCount();
+    const std::size_t mappingsAtStart = mappingCount();
+    auto server = std::make_unique<serve::ScheduleServer>(config);
+    ASSERT_TRUE(server->start());
+    std::string address = tcpAddress(*server);
 
     // The soak runs with the telemetry sampler on, exactly as a
     // production soak would (cs_serve --telemetry): the JSONL it
@@ -1182,15 +1187,16 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
     telemetryConfig.intervalMs = 100;
     ASSERT_TRUE(sampler.start(
         telemetryConfig,
-        [&server] { return server.counterSnapshot(); },
+        [&server] { return server->counterSnapshot(); },
         [&server](std::ostream &os) {
-            server.writeTelemetryFields(os);
+            server->writeTelemetryFields(os);
         }));
 
     // Cheap kernels with a rotating maxDelay: a bounded working set so
     // warm hits dominate, plus a steady trickle of cold inserts.
     const char *names[] = {"DCT", "FIR-INT"};
     std::atomic<long> protocolErrors{0};
+    std::atomic<long> connections{0};
     std::atomic<bool> stop{false};
     auto worker = [&](int id) {
         std::uint64_t iter = 0;
@@ -1199,6 +1205,7 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
             // transports.
             serve::ScheduleClient client;
             std::string error;
+            ++connections;
             bool connected =
                 (id % 2 == 0)
                     ? client.connect(config.socketPath, &error)
@@ -1243,9 +1250,9 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
     while (std::chrono::steady_clock::now() - start <
            std::chrono::milliseconds(soakMs)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(250));
-        std::uint64_t requests = server.metrics().counters().get(
+        std::uint64_t requests = server->metrics().counters().get(
             "serve.schedule_requests");
-        auto disk = server.pipeline().cache().diskStats();
+        auto disk = server->pipeline().cache().diskStats();
         EXPECT_GE(requests, lastRequests);
         EXPECT_GE(disk.writes, lastWrites);
         EXPECT_GE(disk.hits + disk.misses, lastHits);
@@ -1259,11 +1266,11 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
 
     EXPECT_EQ(protocolErrors.load(), 0);
     EXPECT_GT(lastRequests, 0u);
-    EXPECT_EQ(server.metrics().counters().get("serve.bad_requests"),
+    EXPECT_EQ(server->metrics().counters().get("serve.bad_requests"),
               0u);
-    EXPECT_EQ(server.metrics().counters().get("serve.write_errors"),
+    EXPECT_EQ(server->metrics().counters().get("serve.write_errors"),
               0u);
-    auto disk = server.pipeline().cache().diskStats();
+    auto disk = server->pipeline().cache().diskStats();
     EXPECT_EQ(disk.readErrors, 0u);
     EXPECT_EQ(disk.writeErrors, 0u);
     EXPECT_EQ(disk.droppedReadOnly, 0u);
@@ -1315,7 +1322,33 @@ TEST(ServeSoak, OpenLoopChurnStaysClean)
     // The latency histograms rode along: the all-outcomes summary has
     // every request.
     EXPECT_NE(last.find("\"latency\":{"), std::string::npos);
-    server.stop();
+
+    // Daemon hygiene: with the server destroyed, fds and mappings are
+    // back near where they started. Each connection holds an fd on
+    // both ends and a reader thread whose stack and guard page are two
+    // mappings, so a leak of either grows with the connection count
+    // (hundreds here). What may stay does not: a few fds the runtime
+    // opens once; glibc's cache of freed thread stacks (40 MiB, at
+    // most five default stacks) plus one malloc arena per thread that
+    // ran at the same time, of which the soak has about a dozen
+    // (about 35 mappings in all); under AddressSanitizer, its
+    // allocator's regions instead (about 90).
+    server.reset();
+    constexpr std::size_t kFdSlack = 8;
+    constexpr std::size_t kMappingSlack = 128;
+    ASSERT_GT(connections.load(), static_cast<long>(kMappingSlack))
+        << "soak too short for the bounds to tell a leak";
+    EXPECT_LE(fdCount(), fdsAtStart + kFdSlack)
+        << "fds grew from " << fdsAtStart << " over "
+        << connections.load() << " connections";
+#ifndef __SANITIZE_THREAD__
+    // ThreadSanitizer keeps mappings for every thread it has seen, so
+    // under it the count grows with connections whatever the daemon
+    // does (the soak is not part of the sanitizer label).
+    EXPECT_LE(mappingCount(), mappingsAtStart + kMappingSlack)
+        << "mappings grew from " << mappingsAtStart << " over "
+        << connections.load() << " connections";
+#endif
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: logging, statistics, tables,
- * the deterministic RNG, and fixed-point helpers.
+ * the deterministic RNG, fixed-point helpers, and FNV-1a.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "support/fixed_point.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/memory_image.hpp"
 #include "support/random.hpp"
@@ -179,6 +180,24 @@ TEST(MemoryImage, WordEquality)
     EXPECT_TRUE(Word::fromInt(3) == Word::fromInt(3));
     EXPECT_FALSE(Word::fromInt(3) == Word::fromInt(4));
     EXPECT_TRUE(Word::fromFloat(1.5) == Word::fromFloat(1.5));
+}
+
+TEST(Fnv, ByteWiseMatchesThePublishedVectors)
+{
+    // The 64-bit FNV-1a test vectors from the reference implementation.
+    EXPECT_EQ(fnv1aBytes("", 0), 0xcbf29ce484222325ULL);
+    EXPECT_EQ(fnv1aBytes("a", 1), 0xaf63dc4c8601ec8cULL);
+    EXPECT_EQ(fnv1aBytes("foobar", 6), 0x85944171f73967e8ULL);
+}
+
+TEST(Fnv, LaneHasherStartsAtTheOffsetBasis)
+{
+    EXPECT_EQ(FnvHasher{}.state, 0xcbf29ce484222325ULL);
+    // Lane and byte feeds share the basis: one byte-sized lane is one
+    // byte-wise round.
+    FnvHasher h;
+    h.u64('a');
+    EXPECT_EQ(h.state, fnv1aBytes("a", 1));
 }
 
 } // namespace

@@ -26,6 +26,7 @@
 #include "core/modulo_scheduler.hpp"
 #include "kernels/kernels.hpp"
 #include "machine/builders.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
 
@@ -35,17 +36,6 @@
 
 namespace cs {
 namespace {
-
-std::uint64_t
-fnv1a(const std::string &data)
-{
-    std::uint64_t state = 14695981039346656037ull;
-    for (unsigned char c : data) {
-        state ^= c;
-        state *= 1099511628211ull;
-    }
-    return state;
-}
 
 struct GoldenRecord
 {
@@ -141,7 +131,8 @@ TEST_P(TraceEquivalence, TracingOnMatchesGoldens)
         EXPECT_EQ(ii, it->second.ii) << key << " with tracing enabled";
         EXPECT_EQ(listing.size(), it->second.bytes)
             << key << " with tracing enabled";
-        EXPECT_EQ(fnv1a(listing), it->second.hash)
+        EXPECT_EQ(fnv1aBytes(listing.data(), listing.size()),
+                  it->second.hash)
             << key
             << ": tracing changed the schedule (the tracer must be a "
                "pure observer)";
