@@ -9,7 +9,8 @@
  *     taxonomy (reject.* counters),
  *   - every inserted copy: which register-file pair it bridges, where
  *     it landed, and which consumption it feeds,
- *   - the top-k hottest trace spans (count/total/p50/p95/max).
+ *   - the top-k hottest trace spans (count, inclusive total, self
+ *     time and its share, p50/p95/max).
  *
  *   cs_explain [KERNEL] [MACHINE] [--plain] [--top K] [--list]
  *
@@ -337,8 +338,13 @@ main(int argc, char **argv)
     std::vector<trace::SpanStats> spans = trace::aggregateSpans(events);
     std::cout << "\ntop " << args.top << " hottest spans ("
               << events.size() << " events buffered):\n";
-    TextTable spanTable(
-        {"span", "count", "total ms", "p50 ms", "p95 ms", "max ms"});
+    // Self times partition the traced time, so their shares sum to
+    // 100% over all span names even where the inclusive totals nest.
+    double selfSum = 0.0;
+    for (const trace::SpanStats &s : spans)
+        selfSum += s.selfMs;
+    TextTable spanTable({"span", "count", "total ms", "self ms", "self %",
+                         "p50 ms", "p95 ms", "max ms"});
     int shown = 0;
     for (const trace::SpanStats &s : spans) {
         if (shown++ >= args.top)
@@ -347,6 +353,10 @@ main(int argc, char **argv)
             s.name,
             std::to_string(s.count),
             TextTable::num(s.totalMs, 3),
+            TextTable::num(s.selfMs, 3),
+            TextTable::num(selfSum > 0.0 ? 100.0 * s.selfMs / selfSum
+                                         : 0.0,
+                           1),
             TextTable::num(s.p50Ms, 4),
             TextTable::num(s.p95Ms, 4),
             TextTable::num(s.maxMs, 4),

@@ -72,13 +72,17 @@ BlockScheduler::undoTo(UndoLog::Mark mark)
 {
     log_.unwindTo(mark, [&](const UndoEntry &entry) {
         switch (entry.kind) {
-          case UndoEntry::Kind::FuAcquired:
-            reservations_.releaseFu(entry.fu, entry.cycle, entry.op);
-            break;
-          case UndoEntry::Kind::Placed:
+          case UndoEntry::Kind::Placed: {
             reservations_.releaseFu(entry.fu, entry.cycle, entry.op);
             schedule_.unplace(entry.op);
+            std::vector<OperationId> &row =
+                placedByWriteRow_[static_cast<std::size_t>(
+                    writeRowOf(entry.op, entry.cycle))];
+            CS_ASSERT(!row.empty() && row.back() == entry.op,
+                      "write-row index out of sync");
+            row.pop_back();
             break;
+          }
           case UndoEntry::Kind::ReadAcquired:
             reservations_.releaseRead(entry.readStub, entry.op,
                                       entry.slot, entry.cycle);
@@ -121,11 +125,21 @@ BlockScheduler::undoTo(UndoLog::Mark mark)
     });
 }
 
+int
+BlockScheduler::writeRowOf(OperationId op, int cycle) const
+{
+    return reservations_.norm(cycle + latencyOf(op) - 1);
+}
+
 void
 BlockScheduler::doPlace(OperationId op, int cycle, FuncUnitId fu)
 {
     reservations_.acquireFu(fu, cycle, op);
     schedule_.place(op, cycle, fu);
+    auto row = static_cast<std::size_t>(writeRowOf(op, cycle));
+    if (row >= placedByWriteRow_.size())
+        placedByWriteRow_.resize(row + 1);
+    placedByWriteRow_[row].push_back(op);
     UndoEntry entry{};
     entry.kind = UndoEntry::Kind::Placed;
     entry.fu = fu;
@@ -663,14 +677,12 @@ void
 BlockScheduler::commsReadingAt(int cycle, std::vector<CommId> &out) const
 {
     out.clear();
-    int want = reservations_.norm(cycle);
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.closed)
-            continue;
-        if (!isScheduled(comm.reader))
-            continue;
-        if (reservations_.norm(issueCycleOf(comm.reader)) == want)
-            out.push_back(comm.id);
+    for (auto [fu, reader] : reservations_.issuedAt(cycle)) {
+        for (CommId id : comms_.readBy(reader)) {
+            const Communication &comm = comms_.get(id);
+            if (comm.active && !comm.closed)
+                out.push_back(id);
+        }
     }
 }
 
@@ -678,23 +690,27 @@ void
 BlockScheduler::commsWritingAt(int cycle, std::vector<CommId> &out) const
 {
     out.clear();
-    int want = reservations_.norm(cycle);
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.closed)
-            continue;
-        if (!comm.writer.valid() || !isScheduled(comm.writer))
-            continue;
-        if (reservations_.norm(writeStubCycleOf(comm.writer)) == want)
-            out.push_back(comm.id);
+    auto row = static_cast<std::size_t>(reservations_.norm(cycle));
+    if (row >= placedByWriteRow_.size())
+        return;
+    for (OperationId writer : placedByWriteRow_[row]) {
+        for (CommId id : comms_.writtenBy(writer)) {
+            const Communication &comm = comms_.get(id);
+            if (comm.active && !comm.closed)
+                out.push_back(id);
+        }
     }
 }
 
 std::vector<RegFileId>
 BlockScheduler::valueResidences(ValueId value) const
 {
+    // Only the value's definition writes it: live-ins carry no write
+    // stub, and a copy writes its own result, not its operand.
     std::vector<RegFileId> residences;
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.value != value || !comm.writeStub)
+    for (CommId id : comms_.writtenBy(kernel_.value(value).def)) {
+        const Communication &comm = comms_.get(id);
+        if (!comm.active || !comm.writeStub)
             continue;
         RegFileId rf =
             machine_.writePortRegFile(comm.writeStub->writePort);
@@ -744,26 +760,24 @@ bool
 BlockScheduler::closeRoutes(OperationId op, int copyDepth)
 {
     // Gather this operation's closing communications: reads whose
-    // writer is placed (or live-ins), writes whose reader is placed.
-    // Scanned inline (reads first, as CommTable::toReader/fromWriter
-    // would order them) into the depth's reusable frame.
+    // writer is placed (or live-ins), then writes whose reader is
+    // placed, each in id order (the stable sort below keeps it among
+    // equal copy ranges), into the depth's reusable frame.
     std::vector<CommId> &closing = driverFrame(copyDepth).closing;
     closing.clear();
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.reader != op || comm.closed)
+    for (CommId id : comms_.readBy(op)) {
+        const Communication &comm = comms_.get(id);
+        if (!comm.active || comm.closed)
             continue;
-        if (comm.isLiveIn() ||
-            (comm.writer.valid() && isScheduled(comm.writer))) {
-            closing.push_back(comm.id);
-        }
+        if (comm.isLiveIn() || isScheduled(comm.writer))
+            closing.push_back(id);
     }
-    for (const Communication &comm : comms_.all()) {
-        if (!comm.active || comm.writer != op)
+    for (CommId id : comms_.writtenBy(op)) {
+        const Communication &comm = comms_.get(id);
+        if (!comm.active || comm.closed)
             continue;
-        if (!comm.closed && isScheduled(comm.reader) &&
-            comm.reader != op) {
-            closing.push_back(comm.id);
-        }
+        if (isScheduled(comm.reader) && comm.reader != op)
+            closing.push_back(id);
     }
 
     // Smallest copy range first: those have the least room to recover,

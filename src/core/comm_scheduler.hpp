@@ -250,6 +250,8 @@ class BlockScheduler
     /// @{
     void undoTo(UndoLog::Mark mark);
     void doPlace(OperationId op, int cycle, FuncUnitId fu);
+    /** Normalized write-stub row of @p op issued on @p cycle. */
+    int writeRowOf(OperationId op, int cycle) const;
     void doAcquireRead(const ReadStub &stub, OperationId reader,
                        int slot, int cycle);
     void doReleaseRead(const ReadStub &stub, OperationId reader,
@@ -413,10 +415,22 @@ class BlockScheduler
     BlockSchedule schedule_;
     ReservationTable reservations_;
     CommTable comms_;
+    /**
+     * Placed operations by the normalized row of their write stubs
+     * (writeStubCycleOf), so commsWritingAt walks one row's writers
+     * instead of every communication. doPlace appends and undoing the
+     * placement pops; the journal unwinds newest first, so the popped
+     * operation is always the last of its row.
+     */
+    std::vector<std::vector<OperationId>> placedByWriteRow_;
     UndoLog log_;
     CounterSet stats_;
     mutable HotCounters hot_; // const candidate queries count prunes
     std::string failure_;
+
+    /** Scheduled copies of one value, for tryReuseExistingCopy
+     *  (which never nests). */
+    std::vector<OperationId> reuseScratch_;
 
     /** Scratch frames, indexed by permutation nesting depth. */
     std::vector<std::unique_ptr<PermScratch>> permPool_;

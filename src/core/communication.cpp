@@ -4,17 +4,53 @@
 
 namespace cs {
 
+namespace {
+
+std::span<const CommId>
+listOf(const std::vector<std::vector<CommId>> &index, OperationId op)
+{
+    if (!op.valid() || op.index() >= index.size())
+        return {};
+    return index[op.index()];
+}
+
+void
+append(std::vector<std::vector<CommId>> &index, OperationId op,
+       CommId id)
+{
+    if (op.index() >= index.size())
+        index.resize(op.index() + 1);
+    index[op.index()].push_back(id);
+}
+
+void
+popNewest(std::vector<std::vector<CommId>> &index, OperationId op,
+          CommId id)
+{
+    std::vector<CommId> &list = index[op.index()];
+    CS_ASSERT(!list.empty() && list.back() == id,
+              "communication index out of sync");
+    list.pop_back();
+}
+
+} // namespace
+
 CommId
 CommTable::find(OperationId reader, int slot) const
 {
-    auto it = byReaderSlot_.find({reader.index(), slot});
-    return it == byReaderSlot_.end() ? CommId() : it->second;
+    for (CommId id : readBy(reader)) {
+        const Communication &comm = comms_[id.index()];
+        if (comm.active && comm.slot == slot)
+            return id;
+    }
+    return CommId();
 }
 
 CommId
 CommTable::create(OperationId writer, ValueId value, OperationId reader,
                   int slot, int distance)
 {
+    CS_ASSERT(reader.valid(), "communication without a reader");
     CS_ASSERT(!find(reader, slot).valid(),
               "communication already exists for this operand");
     CommId id(static_cast<std::uint32_t>(comms_.size()));
@@ -26,7 +62,9 @@ CommTable::create(OperationId writer, ValueId value, OperationId reader,
     comm.slot = slot;
     comm.distance = distance;
     comms_.push_back(comm);
-    byReaderSlot_[{reader.index(), slot}] = id;
+    append(byReader_, reader, id);
+    if (writer.valid())
+        append(byWriter_, writer, id);
     return id;
 }
 
@@ -36,7 +74,6 @@ CommTable::deactivate(CommId id)
     Communication &comm = get(id);
     CS_ASSERT(comm.active, "communication already inactive");
     comm.active = false;
-    byReaderSlot_.erase({comm.reader.index(), comm.slot});
 }
 
 void
@@ -45,8 +82,9 @@ CommTable::removeLast(CommId id)
     CS_ASSERT(!comms_.empty() && comms_.back().id == id,
               "removeLast must pop the newest communication");
     const Communication &comm = comms_.back();
-    if (comm.active)
-        byReaderSlot_.erase({comm.reader.index(), comm.slot});
+    popNewest(byReader_, comm.reader, id);
+    if (comm.writer.valid())
+        popNewest(byWriter_, comm.writer, id);
     comms_.pop_back();
 }
 
@@ -56,7 +94,6 @@ CommTable::reactivate(CommId id)
     Communication &comm = get(id);
     CS_ASSERT(!comm.active, "communication already active");
     comm.active = true;
-    byReaderSlot_[{comm.reader.index(), comm.slot}] = id;
 }
 
 Communication &
@@ -75,26 +112,16 @@ CommTable::get(CommId id) const
     return comms_[id.index()];
 }
 
-std::vector<CommId>
-CommTable::fromWriter(OperationId op) const
+std::span<const CommId>
+CommTable::readBy(OperationId op) const
 {
-    std::vector<CommId> out;
-    for (const Communication &comm : comms_) {
-        if (comm.active && comm.writer == op)
-            out.push_back(comm.id);
-    }
-    return out;
+    return listOf(byReader_, op);
 }
 
-std::vector<CommId>
-CommTable::toReader(OperationId op) const
+std::span<const CommId>
+CommTable::writtenBy(OperationId op) const
 {
-    std::vector<CommId> out;
-    for (const Communication &comm : comms_) {
-        if (comm.active && comm.reader == op)
-            out.push_back(comm.id);
-    }
-    return out;
+    return listOf(byWriter_, op);
 }
 
 } // namespace cs

@@ -15,8 +15,8 @@
 #ifndef CS_CORE_COMMUNICATION_HPP
 #define CS_CORE_COMMUNICATION_HPP
 
-#include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "machine/stub.hpp"
@@ -52,11 +52,19 @@ struct Communication
  * are created lazily as the endpoints get scheduled; the table is
  * copyable so the scheduler can snapshot and roll back failed
  * placements.
+ *
+ * Each operation's communications are indexed by reader and by
+ * writer, so "which communications does this operation read or
+ * write?" is a lookup rather than a scan. Ids are handed out in
+ * creation order and only the newest is ever removed, so appending on
+ * create and popping on removeLast keeps every list in ascending id
+ * order. Deactivation only flips the flag: the lists hold active and
+ * inactive entries alike.
  */
 class CommTable
 {
   public:
-    /** Find the communication feeding (reader, slot), if created. */
+    /** The active communication feeding (reader, slot), if any. */
     CommId find(OperationId reader, int slot) const;
 
     /** Create a communication; returns its id. */
@@ -73,19 +81,23 @@ class CommTable
     Communication &get(CommId id);
     const Communication &get(CommId id) const;
 
-    /** All active communications written by @p op. */
-    std::vector<CommId> fromWriter(OperationId op) const;
+    /**
+     * Every communication read by @p op, in ascending id order. The
+     * view is valid until the next create or removeLast.
+     */
+    std::span<const CommId> readBy(OperationId op) const;
 
-    /** All active communications read by @p op. */
-    std::vector<CommId> toReader(OperationId op) const;
+    /** Likewise, every communication written by @p op. */
+    std::span<const CommId> writtenBy(OperationId op) const;
 
     std::size_t size() const { return comms_.size(); }
     const std::vector<Communication> &all() const { return comms_; }
 
   private:
     std::vector<Communication> comms_;
-    /** (reader op index, slot) -> comm, active entries only. */
-    std::map<std::pair<std::uint32_t, int>, CommId> byReaderSlot_;
+    /** Ids by reader / writer operation index. */
+    std::vector<std::vector<CommId>> byReader_;
+    std::vector<std::vector<CommId>> byWriter_;
 };
 
 } // namespace cs

@@ -8,6 +8,8 @@
  * recursively; failures unwind through the caller's snapshot.
  */
 
+#include <algorithm>
+
 #include "core/comm_scheduler.hpp"
 #include "support/logging.hpp"
 #include "support/trace.hpp"
@@ -25,15 +27,21 @@ BlockScheduler::tryReuseExistingCopy(CommId commId)
         issueCycleOf(original.reader) + original.distance * ii_;
     int copy_latency = machine_.latency(Opcode::Copy);
 
-    for (std::size_t i = 0; i < kernel_.numOperations(); ++i) {
-        OperationId cand(static_cast<std::uint32_t>(i));
-        const Operation &op = kernel_.operation(cand);
-        if (!op.isCopy() || !isScheduled(cand))
-            continue;
-        if (!op.operands[0].isValue() ||
-            op.operands[0].value != original.value) {
-            continue;
+    // The scheduled copies of the value are the copy readers of its
+    // use list; taking them in operation order keeps the first fit
+    // the one a walk over every operation would pick.
+    std::vector<OperationId> &copies = reuseScratch_;
+    copies.clear();
+    for (auto [user, slot] : kernel_.value(original.value).uses) {
+        if (slot == 0 && kernel_.operation(user).isCopy() &&
+            isScheduled(user)) {
+            copies.push_back(user);
         }
+    }
+    std::sort(copies.begin(), copies.end());
+
+    for (OperationId cand : copies) {
+        const Operation &op = kernel_.operation(cand);
         if (issueCycleOf(cand) + copy_latency > reader_ready)
             continue; // arrives too late
         // The copy already broadcasts its result somewhere; add (or

@@ -90,6 +90,15 @@ ReservationTable::releaseFu(FuncUnitId fu, int cycle, OperationId op)
     state.fuBits.reset(fu.index());
 }
 
+std::span<const std::pair<FuncUnitId, OperationId>>
+ReservationTable::issuedAt(int cycle) const
+{
+    const CycleState *state = stateAt(cycle);
+    if (!state)
+        return {};
+    return state->fuBusy;
+}
+
 bool
 ReservationTable::canAcquireWrite(const WriteStub &stub, ValueId value,
                                   int cycle) const

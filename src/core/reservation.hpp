@@ -26,6 +26,8 @@
 #ifndef CS_CORE_RESERVATION_HPP
 #define CS_CORE_RESERVATION_HPP
 
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "machine/machine.hpp"
@@ -49,6 +51,11 @@ class ReservationTable
     bool fuFree(FuncUnitId fu, int cycle) const;
     void acquireFu(FuncUnitId fu, int cycle, OperationId op);
     void releaseFu(FuncUnitId fu, int cycle, OperationId op);
+
+    /** The (unit, operation) pairs issued this cycle; the view is
+     *  valid until the next acquireFu / releaseFu. */
+    std::span<const std::pair<FuncUnitId, OperationId>>
+    issuedAt(int cycle) const;
     /// @}
 
     /** @name Write stubs */

@@ -7,8 +7,10 @@
  * snapshots, which dominated scheduling time on large kernels.
  *
  * All mutations are LIFO-compatible: communications are only appended
- * (undo pops the newest), copies are only appended to the kernel (undo
- * removes the newest), so reverse replay restores state exactly.
+ * (undo pops the newest, from the table and its reader/writer
+ * indices), placements are only appended to their write-stub row's
+ * list (undo pops the newest), copies are only appended to the kernel
+ * (undo removes the newest), so reverse replay restores state exactly.
  */
 
 #ifndef CS_CORE_UNDO_LOG_HPP
@@ -27,8 +29,7 @@ struct UndoEntry
 {
     enum class Kind : std::uint8_t
     {
-        FuAcquired,     ///< undo: release the unit
-        Placed,         ///< undo: unplace the operation
+        Placed,         ///< undo: unplace the operation, free the unit
         ReadAcquired,   ///< undo: release the read stub
         ReadReleased,   ///< undo: re-acquire the read stub
         WriteAcquired,  ///< undo: release the write stub

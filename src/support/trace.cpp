@@ -389,9 +389,38 @@ std::vector<SpanStats>
 aggregateSpans(const std::vector<Event> &events)
 {
     std::map<std::uint16_t, std::vector<std::int64_t>> byName;
-    for (const Event &e : events)
-        if (e.kind == EventKind::Span)
+    std::vector<const Event *> spans;
+    for (const Event &e : events) {
+        if (e.kind == EventKind::Span) {
             byName[e.name].push_back(e.durNs);
+            spans.push_back(&e);
+        }
+    }
+
+    // Self time: walk each thread's spans in start order (an enclosing
+    // span before the spans it contains) keeping the chain of open
+    // spans; the innermost open span containing a span is its parent.
+    std::sort(spans.begin(), spans.end(),
+              [](const Event *a, const Event *b) {
+                  if (a->tid != b->tid)
+                      return a->tid < b->tid;
+                  if (a->tsNs != b->tsNs)
+                      return a->tsNs < b->tsNs;
+                  return a->durNs > b->durNs;
+              });
+    auto endOf = [](const Event *e) { return e->tsNs + e->durNs; };
+    std::map<std::uint16_t, std::int64_t> selfByName;
+    std::vector<const Event *> open;
+    for (const Event *e : spans) {
+        while (!open.empty() && (open.back()->tid != e->tid ||
+                                 e->tsNs >= endOf(open.back()))) {
+            open.pop_back();
+        }
+        selfByName[e->name] += e->durNs;
+        if (!open.empty() && endOf(e) <= endOf(open.back()))
+            selfByName[open.back()->name] -= e->durNs;
+        open.push_back(e);
+    }
 
     std::vector<SpanStats> stats;
     stats.reserve(byName.size());
@@ -409,6 +438,7 @@ aggregateSpans(const std::vector<Event> &events)
             return static_cast<double>(durations[idx]) * 1e-6;
         };
         s.totalMs = static_cast<double>(total) * 1e-6;
+        s.selfMs = static_cast<double>(selfByName[name]) * 1e-6;
         s.p50Ms = pct(0.50);
         s.p95Ms = pct(0.95);
         s.maxMs = static_cast<double>(durations.back()) * 1e-6;

@@ -79,7 +79,12 @@ struct SpanStats
 {
     std::string name;
     std::uint64_t count = 0;
+    /** Inclusive: nested spans count toward every enclosing one. */
     double totalMs = 0.0;
+    /** Exclusive: each span's duration minus its direct children's
+     *  on the same thread. Summed over all names it is the time the
+     *  outermost spans cover, so each name's time is counted once. */
+    double selfMs = 0.0;
     double p50Ms = 0.0;
     double p95Ms = 0.0;
     double maxMs = 0.0;
@@ -173,7 +178,9 @@ void exportChromeTrace(std::ostream &os);
 /**
  * Per-name timing summary of the spans in @p events (instants are
  * ignored), sorted by total time descending — the "hottest span"
- * order the cs_explain front-end prints.
+ * order the cs_explain front-end prints. A span's direct children are
+ * the spans of the same thread it is the innermost enclosing span
+ * of; spans on other threads never reduce its self time.
  */
 std::vector<SpanStats> aggregateSpans(const std::vector<Event> &events);
 /// @}

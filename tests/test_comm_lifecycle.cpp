@@ -2,7 +2,8 @@
  * @file
  * Communication-table and lifecycle unit tests: creation and lookup,
  * deactivation/reactivation (the copy-split transformation and its
- * undo), writer/reader queries, and the open -> closed transition as
+ * undo), the reader/writer indices (checked against a brute-force
+ * scan on random traces), and the open -> closed transition as
  * observed through scheduled results.
  */
 
@@ -13,6 +14,7 @@
 #include "ir/builder.hpp"
 #include "machine/builders.hpp"
 #include "support/logging.hpp"
+#include "support/random.hpp"
 
 namespace cs {
 namespace {
@@ -29,17 +31,25 @@ TEST(CommTable, CreateFindAndQueries)
     EXPECT_EQ(table.find(OperationId(3), 1), c1);
     EXPECT_FALSE(table.find(OperationId(3), 0).valid());
 
-    auto from = table.fromWriter(OperationId(1));
-    EXPECT_EQ(from.size(), 2u);
-    auto to = table.toReader(OperationId(2));
+    auto from = table.writtenBy(OperationId(1));
+    ASSERT_EQ(from.size(), 2u);
+    EXPECT_EQ(from[0], c0);
+    EXPECT_EQ(from[1], c1);
+    auto to = table.readBy(OperationId(2));
     ASSERT_EQ(to.size(), 1u);
     EXPECT_EQ(to[0], c0);
+    EXPECT_TRUE(table.readBy(OperationId(1)).empty());
+    EXPECT_TRUE(table.writtenBy(OperationId(2)).empty());
+    EXPECT_TRUE(table.readBy(OperationId(99)).empty());
 
     EXPECT_EQ(table.get(c1).distance, 2);
     EXPECT_FALSE(table.get(c0).isLiveIn());
     CommId live =
         table.create(OperationId(), ValueId(1), OperationId(4), 0, 0);
     EXPECT_TRUE(table.get(live).isLiveIn());
+    ASSERT_EQ(table.readBy(OperationId(4)).size(), 1u);
+    EXPECT_EQ(table.readBy(OperationId(4))[0], live);
+    EXPECT_TRUE(table.writtenBy(OperationId()).empty());
 }
 
 TEST(CommTable, DuplicateOperandRejected)
@@ -58,9 +68,24 @@ TEST(CommTable, DeactivateReactivateRoundTrip)
         table.create(OperationId(1), ValueId(0), OperationId(2), 0, 0);
     table.deactivate(c0);
     EXPECT_FALSE(table.find(OperationId(2), 0).valid());
-    EXPECT_TRUE(table.fromWriter(OperationId(1)).empty());
+    // The indices keep inactive entries; only the flag moves.
+    ASSERT_EQ(table.writtenBy(OperationId(1)).size(), 1u);
+    EXPECT_FALSE(table.get(table.writtenBy(OperationId(1))[0]).active);
+
+    // The split operand's replacement is the one find returns.
+    CommId c1 =
+        table.create(OperationId(3), ValueId(4), OperationId(2), 0, 0);
+    EXPECT_EQ(table.find(OperationId(2), 0), c1);
+    auto readers = table.readBy(OperationId(2));
+    ASSERT_EQ(readers.size(), 2u);
+    EXPECT_EQ(readers[0], c0);
+    EXPECT_EQ(readers[1], c1);
+
+    table.removeLast(c1);
     table.reactivate(c0);
     EXPECT_EQ(table.find(OperationId(2), 0), c0);
+    EXPECT_EQ(table.readBy(OperationId(2)).size(), 1u);
+    EXPECT_TRUE(table.writtenBy(OperationId(3)).empty());
     EXPECT_THROW(table.reactivate(c0), PanicError);
 }
 
@@ -75,6 +100,128 @@ TEST(CommTable, RemoveLastEnforcesLifo)
     table.removeLast(c1);
     EXPECT_EQ(table.size(), 1u);
     EXPECT_FALSE(table.find(OperationId(3), 0).valid());
+}
+
+/**
+ * The reader and writer indices against a brute-force filter of
+ * all(), on random traces that follow the scheduler's discipline:
+ * create and deactivate move forward, and an undo reverses the newest
+ * of them (removeLast for a create, reactivate for a deactivate). At
+ * most one communication per (reader, slot) is active at a time.
+ */
+TEST(CommTable, IndicesMatchScanOnRandomLifoTraces)
+{
+    constexpr std::uint32_t kOps = 6;
+    constexpr int kSlots = 3;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        Rng rng(seed * 0x51ed27u);
+        CommTable table;
+        struct Step
+        {
+            bool created; ///< else deactivated
+            CommId id;
+        };
+        std::vector<Step> journal;
+
+        auto check = [&](int step) {
+            for (std::uint32_t o = 0; o <= kOps; ++o) {
+                OperationId op(o);
+                std::vector<CommId> reads, writes;
+                for (const Communication &comm : table.all()) {
+                    if (comm.reader == op)
+                        reads.push_back(comm.id);
+                    if (comm.writer == op)
+                        writes.push_back(comm.id);
+                }
+                auto by_reader = table.readBy(op);
+                auto by_writer = table.writtenBy(op);
+                ASSERT_EQ(std::vector<CommId>(by_reader.begin(),
+                                              by_reader.end()),
+                          reads)
+                    << "readBy(" << o << ") at step " << step;
+                ASSERT_EQ(std::vector<CommId>(by_writer.begin(),
+                                              by_writer.end()),
+                          writes)
+                    << "writtenBy(" << o << ") at step " << step;
+                for (int slot = 0; slot < kSlots; ++slot) {
+                    CommId want;
+                    for (const Communication &comm : table.all()) {
+                        if (comm.active && comm.reader == op &&
+                            comm.slot == slot) {
+                            ASSERT_FALSE(want.valid())
+                                << "two active comms for one operand";
+                            want = comm.id;
+                        }
+                    }
+                    ASSERT_EQ(table.find(op, slot), want)
+                        << "find(" << o << ", " << slot << ") at step "
+                        << step;
+                }
+            }
+        };
+
+        for (int step = 0; step < 400; ++step) {
+            std::int64_t action = rng.uniformInt(0, 9);
+            if (action < 5) { // create, splitting an active one first
+                OperationId reader(static_cast<std::uint32_t>(
+                    rng.uniformInt(0, kOps - 1)));
+                int slot = static_cast<int>(rng.uniformInt(0, kSlots - 1));
+                CommId held = table.find(reader, slot);
+                if (held.valid()) {
+                    table.deactivate(held);
+                    journal.push_back({false, held});
+                }
+                OperationId writer;
+                if (!rng.chance(0.2)) {
+                    writer = OperationId(static_cast<std::uint32_t>(
+                        rng.uniformInt(0, kOps - 1)));
+                }
+                CommId id = table.create(
+                    writer,
+                    ValueId(static_cast<std::uint32_t>(
+                        rng.uniformInt(0, 9))),
+                    reader, slot, 0);
+                journal.push_back({true, id});
+            } else if (action < 7) { // deactivate an active one
+                std::vector<CommId> active;
+                for (const Communication &comm : table.all()) {
+                    if (comm.active)
+                        active.push_back(comm.id);
+                }
+                if (active.empty())
+                    continue;
+                CommId id = active[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<std::int64_t>(
+                                          active.size()) -
+                                          1))];
+                table.deactivate(id);
+                journal.push_back({false, id});
+            } else { // undo the newest forward step
+                if (journal.empty())
+                    continue;
+                Step last = journal.back();
+                journal.pop_back();
+                if (last.created)
+                    table.removeLast(last.id);
+                else
+                    table.reactivate(last.id);
+            }
+            check(step);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+        // Unwinding everything empties every index.
+        while (!journal.empty()) {
+            Step last = journal.back();
+            journal.pop_back();
+            if (last.created)
+                table.removeLast(last.id);
+            else
+                table.reactivate(last.id);
+        }
+        EXPECT_EQ(table.size(), 0u);
+        check(-1);
+    }
 }
 
 TEST(CommLifecycle, AllCommunicationsClosedAfterScheduling)

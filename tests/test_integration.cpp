@@ -67,8 +67,9 @@ TEST_P(EndToEnd, ScheduleValidateSimulateMatch)
                       << machineName(config.machineKind) << ": " << p;
     EXPECT_GT(result.cyclesPerIteration, 0);
     // A central register file never needs copies.
-    if (config.machineKind == 0)
+    if (config.machineKind == 0) {
         EXPECT_EQ(result.copies, 0);
+    }
 }
 
 std::vector<Config>

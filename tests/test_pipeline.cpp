@@ -61,8 +61,12 @@ TEST(Pipeline, ConcurrentMatchesSerialByteForByte)
     std::vector<ScheduleJob> jobs = tableOneBatch(central, distributed);
     ASSERT_GE(jobs.size(), 3u);
 
-    SchedulingPipeline serial({.numThreads = 1, .cacheCapacity = 0});
-    SchedulingPipeline concurrent({.numThreads = 4, .cacheCapacity = 0});
+    SchedulingPipeline serial({.numThreads = 1,
+                               .cacheCapacity = 0,
+                               .cacheDirectory = {}});
+    SchedulingPipeline concurrent({.numThreads = 4,
+                                   .cacheCapacity = 0,
+                                   .cacheDirectory = {}});
 
     std::vector<JobResult> serialResults = serial.run(jobs);
     std::vector<JobResult> concurrentResults = concurrent.run(jobs);
@@ -102,8 +106,12 @@ TEST(Pipeline, PipelinedJobDeterminism)
     job.pipelined = true;
     std::vector<ScheduleJob> jobs(3, job);
 
-    SchedulingPipeline serial({.numThreads = 1, .cacheCapacity = 0});
-    SchedulingPipeline concurrent({.numThreads = 4, .cacheCapacity = 0});
+    SchedulingPipeline serial({.numThreads = 1,
+                               .cacheCapacity = 0,
+                               .cacheDirectory = {}});
+    SchedulingPipeline concurrent({.numThreads = 4,
+                                   .cacheCapacity = 0,
+                                   .cacheDirectory = {}});
     std::vector<JobResult> a = serial.run(jobs);
     std::vector<JobResult> b = concurrent.run(jobs);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -125,7 +133,9 @@ TEST(Pipeline, CacheHitOnRepeatMissAfterOptionChange)
     job.machine = &central;
     job.pipelined = false;
 
-    SchedulingPipeline pipeline({.numThreads = 2, .cacheCapacity = 64});
+    SchedulingPipeline pipeline({.numThreads = 2,
+                                 .cacheCapacity = 64,
+                                 .cacheDirectory = {}});
 
     std::vector<JobResult> first = pipeline.run({job});
     ASSERT_TRUE(first[0].success);
@@ -154,7 +164,9 @@ TEST(Pipeline, RepeatedBatchHitRateAtLeastNinetyPercent)
     Machine distributed = makeDistributed();
     std::vector<ScheduleJob> jobs = tableOneBatch(central, distributed);
 
-    SchedulingPipeline pipeline({.numThreads = 4, .cacheCapacity = 256});
+    SchedulingPipeline pipeline({.numThreads = 4,
+                                 .cacheCapacity = 256,
+                                 .cacheDirectory = {}});
     pipeline.run(jobs);
     ScheduleCache::Stats cold = pipeline.cache().stats();
 

@@ -186,9 +186,10 @@ TEST_P(Fuzz, PlainAndPipelinedAgreeFunctionally)
     // between the two modes (a plain schedule treats them as live-ins
     // reading the previous iteration's value, which matches).
     for (auto &[addr, word] : plain.memory.cells()) {
-        if (addr >= 5000)
+        if (addr >= 5000) {
             EXPECT_TRUE(pipelined.memory.load(addr) == word)
                 << "at " << addr;
+        }
     }
 }
 

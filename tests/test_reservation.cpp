@@ -63,6 +63,39 @@ TEST_F(ReservationTest, FuOccupancy)
     EXPECT_TRUE(table.fuFree(fu, 3));
 }
 
+TEST_F(ReservationTest, IssuedAtListsTheRowsUnits)
+{
+    using Issued = std::vector<std::pair<FuncUnitId, OperationId>>;
+    auto issued = [](const ReservationTable &table, int cycle) {
+        auto row = table.issuedAt(cycle);
+        return Issued(row.begin(), row.end());
+    };
+
+    ReservationTable plain(machine);
+    EXPECT_TRUE(plain.issuedAt(3).empty()); // never-touched row
+    plain.acquireFu(FuncUnitId(1), 3, OperationId(7));
+    plain.acquireFu(FuncUnitId(0), 3, OperationId(2));
+    plain.acquireFu(FuncUnitId(0), 4, OperationId(5));
+    EXPECT_EQ(issued(plain, 3),
+              (Issued{{FuncUnitId(1), OperationId(7)},
+                      {FuncUnitId(0), OperationId(2)}}));
+    EXPECT_EQ(issued(plain, 4),
+              (Issued{{FuncUnitId(0), OperationId(5)}}));
+    EXPECT_TRUE(plain.issuedAt(2).empty()); // row below a grown one
+    plain.releaseFu(FuncUnitId(1), 3, OperationId(7));
+    EXPECT_EQ(issued(plain, 3),
+              (Issued{{FuncUnitId(0), OperationId(2)}}));
+
+    // Folded: cycles 2, 6 and -2 share one row.
+    ReservationTable folded(machine, 4);
+    folded.acquireFu(FuncUnitId(0), 2, OperationId(1));
+    folded.acquireFu(FuncUnitId(1), 6, OperationId(3));
+    EXPECT_EQ(issued(folded, -2),
+              (Issued{{FuncUnitId(0), OperationId(1)},
+                      {FuncUnitId(1), OperationId(3)}}));
+    EXPECT_TRUE(folded.issuedAt(5).empty());
+}
+
 TEST_F(ReservationTest, WriteStubSharingSameValue)
 {
     ReservationTable table(machine);

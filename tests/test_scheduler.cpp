@@ -173,7 +173,7 @@ TEST(Modulo, AccumulatorRecurrenceBoundsIi)
     KernelBuilder b("acc");
     b.block("loop", true);
     Val x = b.load(100, 1, "x");
-    Val acc = b.fadd(x, 0.0, "acc");
+    b.fadd(x, 0.0, "acc");
     // acc depends on itself one iteration back.
     Kernel kernel = b.take();
     const_cast<Operation &>(kernel.operation(OperationId(1)))
@@ -195,7 +195,7 @@ TEST(Modulo, SelfFeedingAccumulatorSimulates)
     KernelBuilder b("acc2");
     b.block("loop", true);
     Val x = b.load(100, 1, "x");
-    Val acc = b.iadd(x, 0, "sum");
+    b.iadd(x, 0, "sum");
     Kernel kernel = b.take();
     const_cast<Operation &>(kernel.operation(OperationId(1)))
         .operands[1] = Operand::fromValue(

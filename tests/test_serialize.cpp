@@ -565,8 +565,9 @@ TEST(SerializeFuzz, MutatedTextNeverCrashes)
             mutated[pos(rng)] = static_cast<char>(ch(rng));
         std::optional<Kernel> kernel;
         std::string error;
-        if (!parseKernelText(mutated, &kernel, &error))
+        if (!parseKernelText(mutated, &kernel, &error)) {
             EXPECT_FALSE(error.empty());
+        }
     }
 }
 
@@ -613,8 +614,9 @@ TEST(SerializeFuzz, TruncatedAndFlippedBinaryNeverCrashes)
     auto tryDecode = [](const std::vector<std::uint8_t> &data) {
         wire::ByteReader reader(data);
         std::optional<serve::JobSet> out;
-        if (!serve::decodeJobSet(reader, &out))
+        if (!serve::decodeJobSet(reader, &out)) {
             EXPECT_FALSE(reader.error().empty());
+        }
     };
 
     for (std::size_t length : prefixLengths(bytes.size(), 128)) {

@@ -366,25 +366,51 @@ TEST(TraceAggregate, SpanStatsSummarizeDurations)
 {
     ScopedTracing tracing(true);
     const std::uint16_t name = trace::internName("trace_test.agg");
+    const std::int64_t ms = 1000000;
     // Synthetic spans with known durations: 1ms .. 10ms.
     for (int i = 1; i <= 10; ++i)
         trace::emitSpan(name, trace::nowNs(),
-                        static_cast<std::int64_t>(i) * 1000000);
+                        static_cast<std::int64_t>(i) * ms);
+
+    // Nesting, a second past the spans above: parent [0, 10) holds
+    // siblings [1, 3) and [4, 7), and the second holds a grandchild
+    // [5, 6). Emitted innermost first, as RAII spans close. A span of
+    // another thread inside the parent's interval is not its child.
+    const std::int64_t base = trace::nowNs() + 1000 * ms;
+    auto span = [](const char *spanName, std::int64_t ts,
+                   std::int64_t dur) {
+        trace::emitSpan(trace::internName(spanName), ts, dur);
+    };
+    span("trace_test.child", base + 1 * ms, 2 * ms);
+    span("trace_test.grandchild", base + 5 * ms, 1 * ms);
+    span("trace_test.child", base + 4 * ms, 3 * ms);
+    span("trace_test.parent", base, 10 * ms);
+    std::thread other(
+        [&] { span("trace_test.other", base + 2 * ms, 4 * ms); });
+    other.join();
     trace::setEnabled(false);
 
-    std::vector<trace::SpanStats> stats =
-        trace::aggregateSpans(trace::drain());
-    const trace::SpanStats *agg = nullptr;
-    for (const trace::SpanStats &s : stats) {
-        if (s.name == "trace_test.agg")
-            agg = &s;
-    }
-    ASSERT_NE(agg, nullptr);
-    EXPECT_EQ(agg->count, 10u);
-    EXPECT_NEAR(agg->totalMs, 55.0, 1e-9);
-    EXPECT_NEAR(agg->maxMs, 10.0, 1e-9);
-    EXPECT_GE(agg->p95Ms, agg->p50Ms);
-    EXPECT_GE(agg->maxMs, agg->p95Ms);
+    std::map<std::string, trace::SpanStats> byName;
+    for (trace::SpanStats &s : trace::aggregateSpans(trace::drain()))
+        byName[s.name] = s;
+    ASSERT_EQ(byName.count("trace_test.agg"), 1u);
+    const trace::SpanStats &agg = byName["trace_test.agg"];
+    EXPECT_EQ(agg.count, 10u);
+    EXPECT_NEAR(agg.totalMs, 55.0, 1e-9);
+    EXPECT_NEAR(agg.maxMs, 10.0, 1e-9);
+    EXPECT_GE(agg.p95Ms, agg.p50Ms);
+    EXPECT_GE(agg.maxMs, agg.p95Ms);
+    // Overlapping without nesting: none is another's child.
+    EXPECT_NEAR(agg.selfMs, 55.0, 1e-9);
+
+    EXPECT_NEAR(byName["trace_test.parent"].totalMs, 10.0, 1e-9);
+    EXPECT_NEAR(byName["trace_test.parent"].selfMs, 5.0, 1e-9);
+    EXPECT_EQ(byName["trace_test.child"].count, 2u);
+    EXPECT_NEAR(byName["trace_test.child"].totalMs, 5.0, 1e-9);
+    EXPECT_NEAR(byName["trace_test.child"].selfMs, 4.0, 1e-9);
+    EXPECT_NEAR(byName["trace_test.grandchild"].selfMs, 1.0, 1e-9);
+    EXPECT_NEAR(byName["trace_test.other"].totalMs, 4.0, 1e-9);
+    EXPECT_NEAR(byName["trace_test.other"].selfMs, 4.0, 1e-9);
 }
 
 TEST(TraceTsan, ConcurrentWritersAndDrainers)
@@ -441,8 +467,9 @@ TEST(TraceTsan, ConcurrentWritersAndDrainers)
 
     // Quiescent: a final drain still decodes cleanly.
     for (const trace::Event &e : trace::drain()) {
-        if (trace::nameOf(e.name) == "trace_test.tsan")
+        if (trace::nameOf(e.name) == "trace_test.tsan") {
             EXPECT_EQ(e.args[0].second, e.args[1].second);
+        }
     }
 }
 
