@@ -8,11 +8,18 @@
  *
  * The golden fingerprints in tests/golden_listings.txt were captured
  * from the reference implementation (std::map-backed reservation
- * table, allocation-per-probe candidate enumeration). Regenerate them
- * ONLY for a change that intentionally alters schedules:
+ * table, allocation-per-probe candidate enumeration). Beside them,
+ * tests/golden_counters.txt pins the search counters of every golden
+ * job (dfs_nodes, probes, prunes, backtracks, budget trips, perms
+ * found, copies, every reject.* reason), plus tight-budget variants of
+ * a few block jobs: "same listing" is not the whole exactness claim,
+ * since the search counters also steer the II planner. The table
+ * acquire/release counts are left out; they measure journaling, not
+ * the search. Regenerate both files ONLY for a change that
+ * intentionally alters schedules or search work:
  *
  *     CS_WRITE_GOLDENS=1 build/tests/cs_tests \
- *         --gtest_filter='SchedEquivalence*'
+ *         --gtest_filter='*SchedEquivalence*'
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +30,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/export.hpp"
 #include "core/list_scheduler.hpp"
@@ -30,6 +38,7 @@
 #include "kernels/kernels.hpp"
 #include "machine/builders.hpp"
 #include "pipeline/pipeline.hpp"
+#include "core/reject.hpp"
 #include "support/fnv.hpp"
 #include "support/logging.hpp"
 
@@ -44,6 +53,12 @@ std::string
 goldenPath()
 {
     return std::string(CS_TEST_DATA_DIR) + "/golden_listings.txt";
+}
+
+std::string
+countersPath()
+{
+    return std::string(CS_TEST_DATA_DIR) + "/golden_counters.txt";
 }
 
 struct GoldenRecord
@@ -92,6 +107,94 @@ freshTable()
     return table;
 }
 
+/** key -> "name=value ..." in pinnedCounterNames() order. */
+std::map<std::string, std::string> &
+counterTable()
+{
+    static std::map<std::string, std::string> table = [] {
+        std::map<std::string, std::string> out;
+        std::ifstream in(countersPath());
+        std::string line;
+        while (std::getline(in, line)) {
+            if (line.empty() || line[0] == '#')
+                continue;
+            std::size_t space = line.find(' ');
+            if (space != std::string::npos)
+                out[line.substr(0, space)] = line.substr(space + 1);
+        }
+        return out;
+    }();
+    return table;
+}
+
+std::map<std::string, std::string> &
+freshCounters()
+{
+    static std::map<std::string, std::string> table;
+    return table;
+}
+
+/** Every search counter the goldens pin (not table_acquires /
+ *  table_releases, which count journaling work). */
+const std::vector<std::string> &
+pinnedCounterNames()
+{
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out = {
+            "dfs_nodes",         "placement_attempts",
+            "probe_reads",       "probe_writes",
+            "prune_read_bus",    "prune_write_bus",
+            "prune_route_mask",  "perm_backtracks",
+            "perm_budget_exhausted", "read_perms_found",
+            "write_perms_found", "write_perm_bus_prechecks",
+            "copies_inserted",   "copies_unwound"};
+        for (const char *reason : kRejectReasonNames)
+            out.push_back(std::string("reject.") + reason);
+        return out;
+    }();
+    return names;
+}
+
+std::string
+counterLine(const CounterSet &stats)
+{
+    std::string line;
+    for (const std::string &name : pinnedCounterNames()) {
+        if (!line.empty())
+            line += ' ';
+        line += name + "=" + std::to_string(stats.get(name));
+    }
+    return line;
+}
+
+/** Record (regenerating) or check one job's pinned counter line. */
+void
+checkCounters(const std::string &key, const std::string &line)
+{
+    if (writeGoldensRequested()) {
+        freshCounters()[key] = line;
+        return;
+    }
+    auto it = counterTable().find(key);
+    ASSERT_NE(it, counterTable().end())
+        << "no golden counters for " << key
+        << " — regenerate with CS_WRITE_GOLDENS=1";
+    EXPECT_EQ(line, it->second) << key << ": search counters changed";
+}
+
+std::string
+kernelKeyOf(const KernelSpec &spec)
+{
+    // Keys must not contain whitespace (the golden files are
+    // whitespace-separated); kernel names like "Block Warp" do.
+    std::string key = spec.name;
+    for (char &c : key) {
+        if (c == ' ')
+            c = '_';
+    }
+    return key;
+}
+
 Machine
 machineByName(const std::string &name)
 {
@@ -120,7 +223,9 @@ TEST_P(SchedEquivalence, ListingsMatchGoldens)
         Kernel kernel = spec.build();
         int ii = 0;
         std::string listing;
+        std::string counters;
         if (pipelined) {
+            // Serial sweep: the counters are the winning attempt's.
             PipelineResult result =
                 schedulePipelined(kernel, BlockId(0), machine);
             ASSERT_TRUE(result.success)
@@ -128,6 +233,7 @@ TEST_P(SchedEquivalence, ListingsMatchGoldens)
             ii = result.ii;
             listing = exportListing(result.inner.kernel, machine,
                                     result.inner.schedule);
+            counters = counterLine(result.inner.stats);
         } else {
             ScheduleResult result =
                 scheduleBlock(kernel, BlockId(0), machine);
@@ -135,17 +241,12 @@ TEST_P(SchedEquivalence, ListingsMatchGoldens)
                 << spec.name << " on " << machineName;
             listing = exportListing(result.kernel, machine,
                                     result.schedule);
+            counters = counterLine(result.stats);
         }
 
-        // Keys must not contain whitespace (the golden file is
-        // whitespace-separated); kernel names like "Block Warp" do.
-        std::string kernelKey = spec.name;
-        for (char &c : kernelKey) {
-            if (c == ' ')
-                c = '_';
-        }
-        std::string key = kernelKey + "|" + machineName + "|" +
+        std::string key = kernelKeyOf(spec) + "|" + machineName + "|" +
                           (pipelined ? "modulo" : "block");
+        checkCounters(key, counters);
         GoldenRecord fresh{ii, listing.size(),
                            fnv1aBytes(listing.data(), listing.size())};
         if (regen) {
@@ -172,6 +273,50 @@ INSTANTIATE_TEST_SUITE_P(
         return std::get<0>(info.param) +
                (std::get<1>(info.param) ? "_modulo" : "_block");
     });
+
+/**
+ * Tight permutation budgets on the two machines whose write searches
+ * run deepest: budget trips land inside, at and just past a row's
+ * held stubs, where the default budget never trips. Each job pins
+ * whether it schedules, its listing hash when it does, and its search
+ * counters either way.
+ */
+class SchedEquivalenceBudgets
+    : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(SchedEquivalenceBudgets, TightBudgetsPinOutcomeAndCounters)
+{
+    setVerboseLogging(false);
+    const std::string &machineName = GetParam();
+    Machine machine = machineByName(machineName);
+    for (const char *name : {"Sort", "Merge", "FFT", "DCT"}) {
+        const KernelSpec &spec = kernelByName(name);
+        Kernel kernel = spec.build();
+        for (int budget : {8, 64}) {
+            SchedulerOptions options;
+            options.permutationBudget = budget;
+            ScheduleResult result =
+                scheduleBlock(kernel, BlockId(0), machine, options);
+            std::string outcome = "ok=0";
+            if (result.success) {
+                std::string listing = exportListing(
+                    result.kernel, machine, result.schedule);
+                std::ostringstream hash;
+                hash << std::hex
+                     << fnv1aBytes(listing.data(), listing.size());
+                outcome = "ok=1 hash=" + hash.str();
+            }
+            checkCounters(kernelKeyOf(spec) + "|" + machineName +
+                              "|block|budget" + std::to_string(budget),
+                          outcome + " " + counterLine(result.stats));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllMachines, SchedEquivalenceBudgets,
+                         ::testing::Values("clustered2", "distributed"),
+                         [](const auto &info) { return info.param; });
 
 /**
  * The same 80 golden fingerprints, but produced through the
@@ -215,12 +360,7 @@ TEST_P(GoldenViaPipeline, SharedAnalysisKeepsGoldenBytes)
 
     std::size_t i = 0;
     for (const KernelSpec &spec : allKernels()) {
-        std::string kernelKey = spec.name;
-        for (char &c : kernelKey) {
-            if (c == ' ')
-                c = '_';
-        }
-        std::string key = kernelKey + "|" + machineName + "|" +
+        std::string key = kernelKeyOf(spec) + "|" + machineName + "|" +
                           (pipelined ? "modulo" : "block");
         auto it = goldenTable().find(key);
         ASSERT_NE(it, goldenTable().end()) << key;
@@ -268,19 +408,40 @@ class GoldenWriter : public ::testing::Environment
     void
     TearDown() override
     {
-        if (!writeGoldensRequested() || freshTable().empty())
+        if (!writeGoldensRequested())
+            return;
+        writeCounters();
+        if (freshTable().empty())
             return;
         std::ofstream out(goldenPath());
         out << "# Golden schedule fingerprints: key ii bytes "
                "fnv1a-hash(hex)\n"
             << "# Regenerate: CS_WRITE_GOLDENS=1 cs_tests "
-               "--gtest_filter='SchedEquivalence*'\n";
+               "--gtest_filter='*SchedEquivalence*'\n";
         for (const auto &[key, record] : freshTable()) {
             out << key << " " << record.ii << " " << record.bytes
                 << " " << std::hex << record.hash << std::dec << "\n";
         }
         std::cerr << "wrote " << freshTable().size()
                   << " golden fingerprints to " << goldenPath() << "\n";
+    }
+
+  private:
+    static void
+    writeCounters()
+    {
+        if (freshCounters().empty())
+            return;
+        std::ofstream out(countersPath());
+        out << "# Golden search counters: key [ok=0|1 [hash=...]] "
+               "name=value...\n"
+            << "# Regenerate: CS_WRITE_GOLDENS=1 cs_tests "
+               "--gtest_filter='*SchedEquivalence*'\n";
+        for (const auto &[key, line] : freshCounters())
+            out << key << " " << line << "\n";
+        std::cerr << "wrote " << freshCounters().size()
+                  << " golden counter lines to " << countersPath()
+                  << "\n";
     }
 };
 
