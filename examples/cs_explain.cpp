@@ -10,7 +10,9 @@
  *   - every inserted copy: which register-file pair it bridges, where
  *     it landed, and which consumption it feeds,
  *   - the top-k hottest trace spans (count, inclusive total, self
- *     time and its share, p50/p95/max).
+ *     time and its share, p50/p95/max), with the number of events
+ *     the per-thread trace ring overwrote and a mark on every self
+ *     time those lost events may have inflated.
  *
  *   cs_explain [KERNEL] [MACHINE] [--plain] [--top K] [--list]
  *
@@ -22,6 +24,7 @@
  *   --list     list kernel and machine names and exit
  */
 
+#include <cstdint>
 #include <iostream>
 #include <map>
 #include <string>
@@ -155,7 +158,11 @@ main(int argc, char **argv)
 
     trace::setEnabled(true);
     JobResult result = runScheduleJob(job);
-    std::vector<trace::Event> events = trace::drain();
+    std::vector<std::uint64_t> lostByThread;
+    std::vector<trace::Event> events = trace::drain(&lostByThread);
+    std::uint64_t lost = 0;
+    for (std::uint64_t n : lostByThread)
+        lost += n;
 
     printBanner(std::cout, "Explain: " + job.label);
     std::cout << (args.pipelined ? "modulo schedule" : "block schedule")
@@ -335,9 +342,18 @@ main(int argc, char **argv)
     }
 
     // Hottest spans across the whole run.
-    std::vector<trace::SpanStats> spans = trace::aggregateSpans(events);
+    std::vector<trace::SpanStats> spans =
+        trace::aggregateSpans(events, lostByThread);
     std::cout << "\ntop " << args.top << " hottest spans ("
-              << events.size() << " events buffered):\n";
+              << events.size() << " events buffered, " << lost
+              << " events lost):\n";
+    if (lost > 0) {
+        // The ring keeps the newest events: enclosing spans survive
+        // their overwritten children and absorb their time as self.
+        std::cout << "  the trace ring overwrote the oldest events; "
+                     "self ms marked * includes time of lost "
+                     "children\n";
+    }
     // Self times partition the traced time, so their shares sum to
     // 100% over all span names even where the inclusive totals nest.
     double selfSum = 0.0;
@@ -353,7 +369,7 @@ main(int argc, char **argv)
             s.name,
             std::to_string(s.count),
             TextTable::num(s.totalMs, 3),
-            TextTable::num(s.selfMs, 3),
+            TextTable::num(s.selfMs, 3) + (s.selfSuspect > 0 ? "*" : ""),
             TextTable::num(selfSum > 0.0 ? 100.0 * s.selfMs / selfSum
                                          : 0.0,
                            1),

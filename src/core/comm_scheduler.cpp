@@ -193,20 +193,6 @@ BlockScheduler::doAcquireWrite(const WriteStub &stub, ValueId value,
 }
 
 void
-BlockScheduler::doReleaseWrite(const WriteStub &stub, ValueId value,
-                               int cycle)
-{
-    reservations_.releaseWrite(stub, value, cycle);
-    ++hot_.tableReleases;
-    UndoEntry entry{};
-    entry.kind = UndoEntry::Kind::WriteReleased;
-    entry.writeStub = stub;
-    entry.value = value;
-    entry.cycle = cycle;
-    log_.push(entry);
-}
-
-void
 BlockScheduler::setReadStub(CommId id, std::optional<ReadStub> stub)
 {
     Communication &comm = comms_.get(id);

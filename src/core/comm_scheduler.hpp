@@ -7,7 +7,7 @@
  * modulo schedules (ii > 0, resources folded every ii cycles).
  *
  * The five implementation steps of Section 4.3 map to:
- *   1. candidate stubs      -> readCandidatesFor / writeCandidatesFor
+ *   1. candidate stubs      -> readCandidatesFor / openWriteCursor
  *   2. read permutation     -> permuteReadStubs
  *   3. write permutation    -> permuteWriteStubs
  *   4. route assignment     -> closeRoutes (with write/read-side
@@ -185,18 +185,15 @@ class BlockScheduler
     void commsWritingAt(int cycle, std::vector<CommId> &out) const;
 
     /**
-     * Candidate stubs in preference order. Allocation-free: the result
-     * is either a view of the machine's precomputed stub list (when
-     * that order is already correct) or of @p storage, refilled in
-     * place. The view is valid until the next call that reuses the
+     * Read candidate stubs in preference order. Allocation-free: the
+     * result is either a view of the machine's precomputed stub list
+     * (when that order is already correct) or of @p storage, refilled
+     * in place. The view is valid until the next call that reuses the
      * same storage vector.
      */
     std::span<const ReadStub> readCandidatesFor(const Communication &comm,
                                                 std::vector<ReadStub>
                                                     &storage) const;
-    std::span<const WriteStub>
-    writeCandidatesFor(const Communication &comm,
-                       std::vector<WriteStub> &storage) const;
 
     bool permuteReadStubs(int cycle);
     bool permuteWriteStubs(int cycle);
@@ -206,7 +203,8 @@ class BlockScheduler
      * the unclosed communications on the cycle, optionally forcing one
      * communication's stub into a particular register file (used by
      * the retargeting of step 4). On failure the previous assignments
-     * are restored and false is returned.
+     * are restored and false is returned. The write side journals only
+     * its net change (commitWriteStubs).
      */
     bool permuteReadStubsImpl(int cycle, CommId constrain,
                               RegFileId wantRf);
@@ -245,7 +243,10 @@ class BlockScheduler
     /**
      * @name Journaled mutations
      * Every state change goes through one of these so a failed
-     * placement attempt can roll back exactly with undoTo().
+     * placement attempt can roll back exactly with undoTo(). The one
+     * exception is the write-stub search, which moves stubs on the
+     * table directly and journals only its net change
+     * (commitWriteStubs).
      */
     /// @{
     void undoTo(UndoLog::Mark mark);
@@ -257,7 +258,6 @@ class BlockScheduler
     void doReleaseRead(const ReadStub &stub, OperationId reader,
                        int slot, int cycle);
     void doAcquireWrite(const WriteStub &stub, ValueId value, int cycle);
-    void doReleaseWrite(const WriteStub &stub, ValueId value, int cycle);
     void setReadStub(CommId id, std::optional<ReadStub> stub);
     void setWriteStub(CommId id, std::optional<WriteStub> stub);
     void setClosed(CommId id);
@@ -312,7 +312,8 @@ class BlockScheduler
         std::uint64_t pruneReadBus = 0;
         std::uint64_t pruneWriteBus = 0;
         std::uint64_t pruneRouteMask = 0;
-        /** Journaled stub acquisitions / releases on the table. */
+        /** Stub acquisitions / releases applied to the table (the
+         *  write search's trial moves included, journaled or not). */
         std::uint64_t tableAcquires = 0;
         std::uint64_t tableReleases = 0;
         /** DFS expansion steps the permutation searches executed. */
@@ -331,6 +332,147 @@ class BlockScheduler
     void noteReject(RejectReason reason);
 
     /**
+     * @name Write-candidate emission plans
+     * Ranking a write stub needs tables that depend only on the
+     * reader's shape and the writer's unit — not on live reservation
+     * state. A plan bakes that derivation once: the unit's stub list
+     * regrouped bus-major into rank-homogeneous runs (route-pruned
+     * stubs dropped), so a candidate list reduces to walking the runs
+     * in rotated-bus order. Live state enters only per bus — does the
+     * bus already broadcast the value? — plus the single currently
+     * held stub; the few buses where that matters are re-ranked stub
+     * by stub. Plans are keyed by the context table row's address
+     * (stable — the context is immutable and outlives the scheduler)
+     * and the writer's unit, and build lazily on first use so small
+     * blocks never pay.
+     */
+    /// @{
+    struct WriteEmitPlan
+    {
+        /** Maximal same-rank slice of one bus's stubs, in original
+         *  stub-list order. Open plans use rank 3 (reachable) and 7
+         *  (serviceable-only) — the default open ranks, refined per
+         *  list only on special buses. Closing plans store the
+         *  context's base rank; BlockSchedulingContext::kSameFile
+         *  resolves to 0/1 per list from the bus's live value. */
+        struct Run
+        {
+            std::uint16_t rank = 0;
+            std::uint32_t begin = 0;
+            std::uint32_t end = 0;
+        };
+        /** One bus with at least one usable stub: its run slice.
+         *  Ascending by bus, so the rotated emission walk is a split
+         *  at the first entry >= the start bus. Only occupied buses
+         *  appear — a unit's stubs ride few of the machine's buses,
+         *  and per-list work scales with those, not the machine. */
+        struct BusRuns
+        {
+            std::uint32_t bus = 0;
+            std::uint32_t firstRun = 0;
+            std::uint32_t endRun = 0;
+        };
+        std::vector<WriteStub> stubs; ///< bus-major, run-grouped
+        std::vector<Run> runs;
+        std::vector<BusRuns> buses;
+        /** Stubs dropped by the route mask: charged to the
+         *  prune_route_mask counter once per candidate list built. */
+        std::uint32_t pruned = 0;
+    };
+    struct WritePlanKey
+    {
+        const void *row = nullptr;
+        std::uint32_t fu = 0;
+        bool operator==(const WritePlanKey &) const = default;
+    };
+    struct WritePlanKeyHash
+    {
+        std::size_t operator()(const WritePlanKey &k) const
+        {
+            auto h = reinterpret_cast<std::uintptr_t>(k.row);
+            h ^= (h >> 17) + std::uintptr_t{k.fu} *
+                                 std::uintptr_t{0x9E3779B97F4A7C15ULL};
+            return static_cast<std::size_t>(h);
+        }
+    };
+    const WriteEmitPlan &
+    openWritePlan(std::span<const std::uint8_t> codes,
+                  FuncUnitId fu) const;
+    const WriteEmitPlan &
+    closeWritePlan(std::span<const std::uint16_t> base,
+                   FuncUnitId fu) const;
+    /** Open-list class row for the communication's reader shape. */
+    std::span<const std::uint8_t>
+    openCodesFor(const Communication &comm) const;
+    mutable std::unordered_map<WritePlanKey, WriteEmitPlan,
+                               WritePlanKeyHash>
+        writePlans_;
+
+    /**
+     * One DFS level's write candidates, emitted on demand. The order
+     * is that of a stable sort by (rank, rotated bus, plan order):
+     * ranks ascending; within a rank, buses from (value mod bus count)
+     * wrapping upward; within a bus, runs and stubs in plan order.
+     * Each step emits one bus's stubs of the current rank, so a DFS
+     * that stops after a few candidates never pays for the rest.
+     * Every live-state input (bus values, identical-write ranks of the
+     * special buses) is fixed when the cursor opens, so the search's
+     * own acquires cannot reorder a list, and re-reading a candidate
+     * after a backtrack returns the same stub.
+     */
+    struct WriteCursor
+    {
+        /** Run rank resolved for this list; kMixedRank marks a
+         *  special bus's run, ranked stub by stub from stubRank. */
+        struct RunRank
+        {
+            std::uint16_t rank = 0;
+            std::uint32_t offset = 0; ///< into stubRank (mixed runs)
+        };
+        static constexpr std::uint16_t kMixedRank = 0xFFFF;
+
+        const WriteEmitPlan *plan = nullptr;
+        const Machine *machine = nullptr;
+        /** Retarget filter: only stubs into this file (invalid: all). */
+        RegFileId wantRf;
+        std::vector<RunRank> runRank;
+        std::vector<std::uint8_t> stubRank;
+        /** Stubs of each rank the walk has not passed yet. */
+        std::vector<std::uint32_t> left;
+        /** First plan.buses entry of the rotated walk. */
+        std::uint32_t split = 0;
+        /** Walk position: current rank, buses visited at that rank. */
+        std::uint32_t rank = 0;
+        std::uint32_t step = 0;
+        /** Candidates emitted so far, in order. */
+        std::vector<WriteStub> out;
+
+        /** Candidate @p i, emitting buses until it exists; null once
+         *  the list is exhausted. Valid until the next at(). */
+        const WriteStub *
+        at(std::size_t i)
+        {
+            while (out.size() <= i) {
+                if (!emitBus())
+                    return nullptr;
+            }
+            return &out[i];
+        }
+        /** Emit the next bus's stubs of the current rank; false when
+         *  every stub has been walked. */
+        bool emitBus();
+    };
+    /**
+     * Open @p cursor over the candidates of @p comm, whose write stubs
+     * live on @p cycle, against the row's per-bus write values
+     * @p busValues. Charges the plan's route-pruned stubs.
+     */
+    void openWriteCursor(WriteCursor &cursor, const Communication &comm,
+                         int cycle, const std::vector<ValueId> &busValues,
+                         RegFileId wantRf) const;
+    /// @}
+
+    /**
      * Reusable buffers for one stub-permutation search, pooled by
      * nesting depth (the permutation entry points never actually nest
      * today — copy insertion re-enters the scheduler only after the
@@ -346,13 +488,31 @@ class BlockScheduler
         std::vector<std::optional<ReadStub>> prevRead;
         std::vector<std::optional<WriteStub>> prevWrite;
         std::vector<std::vector<ReadStub>> readStore;
-        std::vector<std::vector<WriteStub>> writeStore;
         std::vector<std::span<const ReadStub>> readCands;
-        std::vector<std::span<const WriteStub>> writeCands;
+        /** Write search: one cursor per level, the stub each level
+         *  holds, and the row's per-bus write values. */
+        std::vector<WriteCursor> writeCursors;
+        std::vector<WriteStub> chosenWrite;
+        std::vector<ValueId> busValues;
         std::vector<int> choice;
         std::vector<ValueId> distinctValues;
         InlineBitset candidateBuses;
     };
+
+    /** Outcome of one bounded write DFS over levels [start, n). */
+    enum class WriteDfs : std::uint8_t
+    {
+        Found,      ///< every level holds a stub
+        Exhausted,  ///< level `start` ran out of candidates
+        BudgetTrip, ///< the budget (or an abort) cut the search
+    };
+    WriteDfs writeDfs(PermScratch &sc, std::size_t start, int budget);
+    /** Held-prefix resume; false means "run the search from scratch". */
+    bool resumeWriteSearch(PermScratch &sc, int cycle);
+    bool solveWriteStubs(PermScratch &sc, int cycle, CommId constrain,
+                         RegFileId wantRf);
+    /** Journal a successful write search's net change. */
+    void commitWriteStubs(PermScratch &sc);
 
     /** RAII lease on the scratch frame at the current nesting depth. */
     struct ScratchGuard
@@ -468,113 +628,15 @@ class BlockScheduler
     }
 
     /**
-     * Candidate-ranking scratch. The candidate functions never nest
-     * (each completes before any other scheduler code runs), so one
-     * frame each suffices; mutable because ranking is a const query.
-     * The read entries carry a single packed sort key (rank in the
-     * high bits, original list index in the low bits): keys are
-     * unique, so a plain std::sort reproduces the stable order
-     * without stable_sort's per-call temporary buffer. The write side
-     * emits through a counting sort (ranks are small integers and the
-     * bus rotation is a bucket walk), so it needs no pair vector.
+     * Read-candidate ranking scratch. readCandidatesFor never nests
+     * (it completes before any other scheduler code runs), so one
+     * frame suffices; mutable because ranking is a const query. The
+     * entries carry a single packed sort key (rank in the high bits,
+     * original list index in the low bits): keys are unique, so a
+     * plain std::sort reproduces the stable order without
+     * stable_sort's per-call temporary buffer.
      */
     mutable std::vector<std::pair<std::uint64_t, ReadStub>> rankedRead_;
-    /** Per-bus value cache, memoized against the reservation row it
-     *  was filled from: (normalized cycle, stub generation) identifies
-     *  the row's content exactly (the generation is monotone — see
-     *  ReservationTable::stubGeneration), so every candidate query of
-     *  one permutation call — and any later query against an
-     *  unmutated row — reuses a single fill. */
-    mutable std::vector<ValueId> busValueScratch_;
-    mutable int busValRow_ = -1;
-    mutable std::uint32_t busValGen_ = 0;
-    mutable bool busValValid_ = false;
-    /** Write-candidate counting sort: per-stub rank and bucket
-     *  offsets. */
-    mutable std::vector<int> stubRankScratch_;
-    mutable std::vector<int> bucketScratch_;
-
-    /**
-     * @name Write-candidate emission plans
-     * writeCandidatesFor spends its time deriving, per stub, a rank
-     * from tables that depend only on the reader's shape and the
-     * writer's unit — not on live reservation state. A plan bakes
-     * that derivation once: the unit's stub list regrouped bus-major
-     * into rank-homogeneous runs (route-pruned stubs dropped), so a
-     * query reduces to walking the runs in rotated-bus order and
-     * bulk-copying each run into its rank bucket. Live state enters
-     * only per bus — does the bus already broadcast the value? — plus
-     * the single currently-held stub; the few buses where that
-     * matters are re-ranked stub-by-stub, exactly as the unplanned
-     * loop ranks them, so the emitted order is identical. Plans are
-     * keyed by the context table row's address (stable — the context
-     * is immutable and outlives the scheduler) and the writer's unit,
-     * and build lazily on first use so small blocks never pay.
-     */
-    /// @{
-    struct WriteEmitPlan
-    {
-        /** Maximal same-rank slice of one bus's stubs, in original
-         *  stub-list order. Open plans use rank 3 (reachable) and 7
-         *  (serviceable-only) — the default open ranks, refined per
-         *  query only on special buses. Closing plans store the
-         *  context's base rank; BlockSchedulingContext::kSameFile
-         *  resolves to 0/1 per query from the bus's live value. */
-        struct Run
-        {
-            std::uint16_t rank = 0;
-            std::uint32_t begin = 0;
-            std::uint32_t end = 0;
-        };
-        /** One bus with at least one usable stub: its run slice.
-         *  Ascending by bus, so the rotated emission walk is a split
-         *  at the first entry >= the start bus. Only occupied buses
-         *  appear — a unit's stubs ride few of the machine's buses,
-         *  and per-query work scales with those, not the machine. */
-        struct BusRuns
-        {
-            std::uint32_t bus = 0;
-            std::uint32_t firstRun = 0;
-            std::uint32_t endRun = 0;
-        };
-        std::vector<WriteStub> stubs; ///< bus-major, run-grouped
-        std::vector<Run> runs;
-        std::vector<BusRuns> buses;
-        /** Stubs dropped by the route mask: charged to the
-         *  prune_route_mask counter once per query, as the unplanned
-         *  loop would. */
-        std::uint32_t pruned = 0;
-    };
-    struct WritePlanKey
-    {
-        const void *row = nullptr;
-        std::uint32_t fu = 0;
-        bool operator==(const WritePlanKey &) const = default;
-    };
-    struct WritePlanKeyHash
-    {
-        std::size_t operator()(const WritePlanKey &k) const
-        {
-            auto h = reinterpret_cast<std::uintptr_t>(k.row);
-            h ^= (h >> 17) + std::uintptr_t{k.fu} *
-                                 std::uintptr_t{0x9E3779B97F4A7C15ULL};
-            return static_cast<std::size_t>(h);
-        }
-    };
-    const WriteEmitPlan &
-    openWritePlan(std::span<const std::uint8_t> codes,
-                  FuncUnitId fu) const;
-    const WriteEmitPlan &
-    closeWritePlan(std::span<const std::uint16_t> base,
-                   FuncUnitId fu) const;
-    mutable std::unordered_map<WritePlanKey, WriteEmitPlan,
-                               WritePlanKeyHash>
-        writePlans_;
-    /** Special-bus scratch for one open query: (bus, offset into
-     *  stubRankScratch_) per bus needing stub-level ranks. */
-    mutable std::vector<std::pair<std::uint32_t, std::uint32_t>>
-        specialBusScratch_;
-    /// @}
 };
 
 } // namespace cs

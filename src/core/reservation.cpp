@@ -183,7 +183,6 @@ ReservationTable::acquireWrite(const WriteStub &stub, ValueId value,
     CS_ASSERT(canAcquireWrite(stub, value, cycle),
               "conflicting write stub acquisition");
     CycleState &state = mutableStateAt(cycle);
-    ++state.stubGen;
     for (WriteUse &use : state.writes) {
         if (use.stub == stub && use.value == value) {
             ++use.refs;
@@ -199,7 +198,6 @@ ReservationTable::releaseWrite(const WriteStub &stub, ValueId value,
                                int cycle)
 {
     CycleState &state = mutableStateAt(cycle);
-    ++state.stubGen;
     for (std::size_t i = 0; i < state.writes.size(); ++i) {
         WriteUse &use = state.writes[i];
         if (use.stub == stub && use.value == value) {
@@ -364,7 +362,6 @@ ReservationTable::acquireRead(const ReadStub &stub, OperationId reader,
     CS_ASSERT(canAcquireRead(stub, reader, slot, cycle),
               "conflicting read stub acquisition");
     CycleState &state = mutableStateAt(cycle);
-    ++state.stubGen;
     for (ReadUse &use : state.reads) {
         if (use.reader == reader && use.slot == slot &&
             use.stub == stub) {
@@ -381,7 +378,6 @@ ReservationTable::releaseRead(const ReadStub &stub, OperationId reader,
                               int slot, int cycle)
 {
     CycleState &state = mutableStateAt(cycle);
-    ++state.stubGen;
     for (std::size_t i = 0; i < state.reads.size(); ++i) {
         ReadUse &use = state.reads[i];
         if (use.stub == stub && use.reader == reader &&
@@ -394,13 +390,6 @@ ReservationTable::releaseRead(const ReadStub &stub, OperationId reader,
         }
     }
     CS_PANIC("releasing unheld read stub");
-}
-
-std::uint32_t
-ReservationTable::stubGeneration(int cycle) const
-{
-    const CycleState *state = stateAt(cycle);
-    return state ? state->stubGen : 0;
 }
 
 void

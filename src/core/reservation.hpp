@@ -19,8 +19,9 @@
  * the reference use-list scan (tests/test_reservation.cpp keeps a
  * reference implementation and checks equivalence on random traces).
  *
- * The table is a value type (copyable) so schedulers can snapshot it
- * before a tentative placement and restore on failure.
+ * Rollback is the caller's business: the scheduler journals the
+ * inverse of each net change (core/undo_log.hpp) and replays it, so
+ * the table never snapshots or restores its own state.
  */
 
 #ifndef CS_CORE_RESERVATION_HPP
@@ -127,16 +128,6 @@ class ReservationTable
     /// @}
 
     /**
-     * Generation of the cycle's stub state: bumped on every stub
-     * acquire/release of the row, 0 for untouched rows, and monotone
-     * for the table's lifetime (rollback replays inverse operations
-     * rather than restoring snapshots). (norm(cycle), generation)
-     * therefore identifies the row's stub content exactly, letting
-     * callers key caches of bus/stub-derived state on it.
-     */
-    std::uint32_t stubGeneration(int cycle) const;
-
-    /**
      * Fill @p out (resized to the bus count) with each bus's
      * write-role value this cycle: busWriteValue for every bus in a
      * single row lookup instead of one per bus.
@@ -184,9 +175,6 @@ class ReservationTable
         std::vector<BusState> bus;
         int busesOccupied = 0;
         bool initialized = false;
-
-        /** Bumped on every stub acquire/release (not on fu moves). */
-        std::uint32_t stubGen = 0;
 
         void init(const Machine &machine);
     };

@@ -15,9 +15,9 @@
  *    file.
  *
  * The tables fold the Section 4.5 serviceability test (reachability
- * closure x readable-file masks) that writeCandidatesFor previously
- * recomputed per query — the single hottest computation of the
- * scheduler — into one array lookup per candidate stub. The modulo
+ * closure x readable-file masks) into one array lookup per register
+ * file; the scheduler bakes each row into a write emission plan per
+ * writing unit (BlockScheduler::WriteEmitPlan). The modulo
  * scheduler's II search constructs the context once and shares it
  * across every (ii, variant) attempt, serial or speculative.
  *

@@ -15,14 +15,22 @@
  * pooled scratch buffers (no allocation per probe) and cuts DFS
  * branches with O(1) bus-occupancy checks before paying for a full
  * reservation probe. Every cut is a pure subset of what the probe
- * would reject, and the search budget is charged at exactly the same
- * points as before, so the chosen permutations — and therefore the
- * final schedules — are unchanged (tests/test_sched_equivalence.cpp
- * holds the listings byte-identical).
+ * would reject.
+ *
+ * The write search pays only for what it examines (DESIGN.md §5d):
+ * candidate lists are cursors that emit one bus at a time; a row
+ * whose leading levels still hold their rank-0 stubs resumes after
+ * them instead of releasing and re-picking them; and the trial
+ * acquires and releases go straight to the reservation table, with
+ * only the net change journaled. Each shortcut charges the budget and
+ * the counters exactly what the from-scratch search would, so the
+ * chosen permutations — and the final schedules and search counters —
+ * are unchanged (tests/test_sched_equivalence.cpp pins both).
  */
 
 #include <algorithm>
 #include <climits>
+#include <utility>
 
 #include "core/comm_scheduler.hpp"
 #include "support/logging.hpp"
@@ -240,238 +248,174 @@ BlockScheduler::closeWritePlan(std::span<const std::uint16_t> base,
     return plan;
 }
 
-std::span<const WriteStub>
-BlockScheduler::writeCandidatesFor(const Communication &comm,
-                                   std::vector<WriteStub> &storage) const
+std::span<const std::uint8_t>
+BlockScheduler::openCodesFor(const Communication &comm) const
+{
+    const Operation &consumer = kernel_.operation(comm.reader);
+    if (isScheduled(comm.reader)) {
+        FuncUnitId fu = schedule_.placement(comm.reader).fu;
+        return consumer.isCopy() ? ctx_->openCodesScheduledCopy(fu)
+                                 : ctx_->openCodesScheduled(fu, comm.slot);
+    }
+    return consumer.isCopy()
+               ? ctx_->openCodesUnscheduledCopy()
+               : ctx_->openCodesUnscheduled(consumer.opcode, comm.slot);
+}
+
+void
+BlockScheduler::openWriteCursor(WriteCursor &cursor,
+                                const Communication &comm, int cycle,
+                                const std::vector<ValueId> &busValues,
+                                RegFileId wantRf) const
 {
     CS_ASSERT(comm.writer.valid(), "write candidates need a writer");
     const Placement &wp = schedule_.placement(comm.writer);
     CS_ASSERT(wp.scheduled, "write candidates need a placed writer");
-    int cycle = writeStubCycleOf(comm.writer);
 
-    // Per-bus value cache for this (value, cycle) query. bus_val[b]
-    // is the value bus b currently broadcasts in write role (invalid
-    // when idle, and writes of different values never share a bus),
-    // so a single compare decides a whole bus's rank treatment. The
-    // fill is memoized against the row's stub generation: all the
-    // candidate queries of one permutation call see the same row, so
-    // only the first pays the per-bus walk.
-    auto n = static_cast<std::uint32_t>(machine_.numBuses());
-    auto &bus_val = busValueScratch_;
-    {
-        int row = reservations_.norm(cycle);
-        std::uint32_t gen = reservations_.stubGeneration(cycle);
-        if (!busValValid_ || busValRow_ != row || busValGen_ != gen) {
-            reservations_.fillBusWriteValues(cycle, bus_val);
-            busValRow_ = row;
-            busValGen_ = gen;
-            busValValid_ = true;
-        }
-    }
-
-    // The preference order is (rank, rotated bus, list index), where
-    // rank is a small integer: a counting sort over the precompiled
-    // emission plan. Pass 1 sizes the rank buckets from the plan's
-    // runs; pass 2 walks the runs in rotated-bus order, bulk-copying
-    // each run at its bucket's cursor — which lays the buckets out
-    // contiguously in exactly the order a stable comparison sort over
-    // the raw stub list would produce.
-    //
-    // The rotation (every stub of one value tries buses in the same
-    // order, different values start from different buses) becomes the
-    // bus walk order: bus (value mod n) first, then wrapping upward.
-    //
-    // Finite copy distances are bounded by the register-file count,
-    // so every rank above `overflow` is the single kUnreachable
-    // sentinel and may share one bucket without reordering.
+    // Finite copy distances are bounded by the register-file count, so
+    // every rank above `overflow` is the single kUnreachable sentinel.
     const int overflow = static_cast<int>(machine_.numRegFiles()) + 3;
-    auto &buckets = bucketScratch_;
-    buckets.assign(static_cast<std::size_t>(std::max(overflow, 7)) + 1,
-                   0);
+    cursor.left.assign(static_cast<std::size_t>(std::max(overflow, 7)) + 1,
+                       0);
+    cursor.machine = &machine_;
+    cursor.wantRf = wantRf;
+    cursor.stubRank.clear();
+    cursor.out.clear();
+    cursor.rank = 0;
+    cursor.step = 0;
 
     bool closing = isScheduled(comm.reader) && comm.readStub.has_value();
-
+    const WriteEmitPlan *plan;
     if (closing) {
+        // Base ranks against the read file are a context table row;
+        // only the bus-sharing preference (rank 0 vs 1 in the same
+        // file) depends on live state, and it is uniform across a bus.
         RegFileId read_rf =
             machine_.readPortRegFile(comm.readStub->readPort);
-        // Base ranks against this read file are a context table row
-        // (indexed by the stub's register file); only the bus-sharing
-        // preference (rank 0 vs 1 in the same file) depends on live
-        // reservation state, and it is uniform across a bus.
-        const WriteEmitPlan &plan =
-            closeWritePlan(ctx_->closeBaseRow(read_rf), wp.fu);
-        auto rank_of = [&](const WriteEmitPlan::Run &run,
-                           std::uint32_t b) {
-            return run.rank == BlockSchedulingContext::kSameFile
-                       ? (bus_val[b] == comm.value ? 0 : 1)
-                       : static_cast<int>(run.rank);
-        };
-        for (const WriteEmitPlan::BusRuns &br : plan.buses) {
+        plan = &closeWritePlan(ctx_->closeBaseRow(read_rf), wp.fu);
+        cursor.runRank.resize(plan->runs.size());
+        for (const WriteEmitPlan::BusRuns &br : plan->buses) {
+            bool carrying = busValues[br.bus] == comm.value;
             for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
-                const WriteEmitPlan::Run &run = plan.runs[r];
-                buckets[rank_of(run, br.bus)] +=
-                    static_cast<int>(run.end - run.begin);
+                const WriteEmitPlan::Run &run = plan->runs[r];
+                std::uint16_t rank =
+                    run.rank == BlockSchedulingContext::kSameFile
+                        ? (carrying ? 0 : 1)
+                        : run.rank;
+                cursor.runRank[r] = {rank, 0};
+                cursor.left[rank] += run.end - run.begin;
             }
         }
-        int total = 0;
-        for (int &c : buckets) {
-            int width = c;
-            c = total;
-            total += width;
-        }
-        storage.resize(static_cast<std::size_t>(total));
-        std::uint32_t start = comm.value.index() % n;
-        std::size_t nb = plan.buses.size();
-        std::size_t split = 0;
-        while (split < nb && plan.buses[split].bus < start)
-            ++split;
-        for (std::size_t k = 0; k < nb; ++k) {
-            std::size_t i = split + k;
-            if (i >= nb)
-                i -= nb;
-            const WriteEmitPlan::BusRuns &br = plan.buses[i];
+    } else {
+        // Open: the reader is not placed yet, but the set of register
+        // files any capable unit could read the operand from is known.
+        // Preferring those files surfaces port contention *now*, while
+        // the scheduler can still delay this producer; a stub into an
+        // unreadable file is guaranteed to need fixing at close time,
+        // and a stub into a file that cannot reach the reader even
+        // through copies would strand the value (the Section 4.5 trap)
+        // — the plan drops those outright, making the *producer's*
+        // placement fail so it slides to a cycle where a useful port
+        // is free. The plan bakes the reader-shape analysis into
+        // default ranks (3 reachable / 7 serviceable-only); only
+        // "special" buses — one already broadcasting this value, or
+        // the one holding the tentative stub — need stub-level ranks.
+        plan = &openWritePlan(openCodesFor(comm), wp.fu);
+        hot_.pruneRouteMask += plan->pruned;
+        std::uint32_t ws_bus = comm.writeStub
+                                   ? comm.writeStub->bus.index()
+                                   : UINT32_MAX;
+        cursor.runRank.resize(plan->runs.size());
+        for (const WriteEmitPlan::BusRuns &br : plan->buses) {
+            bool carrying = busValues[br.bus] == comm.value;
+            bool special = carrying || br.bus == ws_bus;
             for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
-                const WriteEmitPlan::Run &run = plan.runs[r];
-                auto len = run.end - run.begin;
-                int &cursor = buckets[rank_of(run, br.bus)];
-                std::copy_n(plan.stubs.data() + run.begin, len,
-                            storage.data() + cursor);
-                cursor += static_cast<int>(len);
-            }
-        }
-        return storage;
-    }
-
-    // Open: the reader is not placed yet, but the set of register
-    // files any capable unit could read the operand from is known.
-    // Preferring those files surfaces port contention *now*, while
-    // the scheduler can still delay this producer; a stub into an
-    // unreadable file is guaranteed to need fixing at close time, and
-    // a stub into a file that cannot reach the reader even through
-    // copies would strand the value (the Section 4.5 trap) — the plan
-    // drops those outright, making the *producer's* placement fail so
-    // it slides to a cycle where a useful port is free. The whole
-    // Section 4.5 analysis (readable-file masks x copy reachability
-    // closure) depends only on the reader's shape, so the plan bakes
-    // it into default ranks (3 reachable / 7 serviceable-only); only
-    // "special" buses — one already broadcasting this value, or the
-    // one holding the tentative stub — need stub-level ranks.
-    const Operation &consumer = kernel_.operation(comm.reader);
-    std::span<const std::uint8_t> codes =
-        isScheduled(comm.reader)
-            ? (consumer.isCopy()
-                   ? ctx_->openCodesScheduledCopy(
-                         schedule_.placement(comm.reader).fu)
-                   : ctx_->openCodesScheduled(
-                         schedule_.placement(comm.reader).fu,
-                         comm.slot))
-            : (consumer.isCopy()
-                   ? ctx_->openCodesUnscheduledCopy()
-                   : ctx_->openCodesUnscheduled(consumer.opcode,
-                                                comm.slot));
-    const WriteEmitPlan &plan = openWritePlan(codes, wp.fu);
-    hot_.pruneRouteMask += plan.pruned;
-
-    std::uint32_t ws_bus = comm.writeStub
-                               ? comm.writeStub->bus.index()
-                               : UINT32_MAX;
-    auto is_special = [&](std::uint32_t b) {
-        return b == ws_bus || bus_val[b] == comm.value;
-    };
-    // Rank the special buses' stubs once (the scratch is reused by
-    // the emission pass) and size their buckets; everything else
-    // contributes whole runs at the default ranks.
-    auto &sranks = stubRankScratch_;
-    sranks.clear();
-    auto &special = specialBusScratch_;
-    special.clear();
-    for (const WriteEmitPlan::BusRuns &br : plan.buses) {
-        if (!is_special(br.bus))
-            continue;
-        special.emplace_back(
-            br.bus, static_cast<std::uint32_t>(sranks.size()));
-        bool carrying = bus_val[br.bus] == comm.value;
-        for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
-            const WriteEmitPlan::Run &run = plan.runs[r];
-            bool reachable = run.rank == 3;
-            for (std::uint32_t i = run.begin; i < run.end; ++i) {
-                const WriteStub &stub = plan.stubs[i];
-                int rank;
-                if (comm.writeStub && stub == *comm.writeStub) {
-                    rank = reachable ? 0 : 4;
-                } else if (carrying) {
-                    // The bus already broadcasts this value; an
-                    // identical reservation (sharable stub) ranks
-                    // above merely riding the bus through another
-                    // port. A write of the same value on another bus
-                    // never has an identical stub, so the bus compare
-                    // is an exact prefilter.
-                    rank = reservations_.hasIdenticalWrite(
-                               stub, comm.value, cycle)
-                               ? (reachable ? 1 : 5)
-                               : (reachable ? 2 : 6);
-                } else {
-                    rank = reachable ? 3 : 7;
+                const WriteEmitPlan::Run &run = plan->runs[r];
+                if (!special) {
+                    cursor.runRank[r] = {run.rank, 0};
+                    cursor.left[run.rank] += run.end - run.begin;
+                    continue;
                 }
-                sranks.push_back(rank);
-                ++buckets[rank];
+                cursor.runRank[r] = {
+                    WriteCursor::kMixedRank,
+                    static_cast<std::uint32_t>(cursor.stubRank.size())};
+                bool reachable = run.rank == 3;
+                for (std::uint32_t i = run.begin; i < run.end; ++i) {
+                    const WriteStub &stub = plan->stubs[i];
+                    std::uint8_t rank;
+                    if (comm.writeStub && stub == *comm.writeStub) {
+                        rank = reachable ? 0 : 4;
+                    } else if (carrying) {
+                        // The bus already broadcasts this value; an
+                        // identical reservation (sharable stub) ranks
+                        // above merely riding the bus through another
+                        // port. A write of the same value on another
+                        // bus never has an identical stub, so the bus
+                        // compare is an exact prefilter.
+                        rank = reservations_.hasIdenticalWrite(
+                                   stub, comm.value, cycle)
+                                   ? (reachable ? 1 : 5)
+                                   : (reachable ? 2 : 6);
+                    } else {
+                        rank = reachable ? 3 : 7;
+                    }
+                    cursor.stubRank.push_back(rank);
+                    ++cursor.left[rank];
+                }
             }
         }
     }
-    for (const WriteEmitPlan::BusRuns &br : plan.buses) {
-        if (is_special(br.bus))
-            continue;
-        for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
-            const WriteEmitPlan::Run &run = plan.runs[r];
-            buckets[run.rank] += static_cast<int>(run.end - run.begin);
-        }
-    }
+    cursor.plan = plan;
 
-    // Bucket counts -> start offsets.
-    int total = 0;
-    for (int &c : buckets) {
-        int width = c;
-        c = total;
-        total += width;
-    }
-
-    storage.resize(static_cast<std::size_t>(total));
-    std::uint32_t start = comm.value.index() % n;
-    std::size_t nb = plan.buses.size();
-    std::size_t split = 0;
-    while (split < nb && plan.buses[split].bus < start)
+    // Every stub of one value tries buses in the same order, different
+    // values start from different buses: bus (value mod n) first, then
+    // wrapping upward.
+    std::uint32_t start =
+        comm.value.index() % static_cast<std::uint32_t>(machine_.numBuses());
+    std::uint32_t split = 0;
+    while (split < plan->buses.size() && plan->buses[split].bus < start)
         ++split;
-    for (std::size_t k = 0; k < nb; ++k) {
-        std::size_t bi = split + k;
-        if (bi >= nb)
-            bi -= nb;
-        const WriteEmitPlan::BusRuns &br = plan.buses[bi];
-        if (is_special(br.bus)) {
-            std::uint32_t offset = 0;
-            for (const auto &[sb, so] : special) {
-                if (sb == br.bus) {
-                    offset = so;
-                    break;
+    cursor.split = split;
+}
+
+bool
+BlockScheduler::WriteCursor::emitBus()
+{
+    const auto nb = static_cast<std::uint32_t>(plan->buses.size());
+    while (rank < left.size()) {
+        // Ranks with nothing left are skipped without a bus walk.
+        while (left[rank] > 0 && step < nb) {
+            std::uint32_t bi = split + step++;
+            if (bi >= nb)
+                bi -= nb;
+            const WriteEmitPlan::BusRuns &br = plan->buses[bi];
+            std::size_t before = out.size();
+            auto emit = [&](const WriteStub &stub) {
+                --left[rank];
+                if (!wantRf.valid() ||
+                    machine->writePortRegFile(stub.writePort) == wantRf)
+                    out.push_back(stub);
+            };
+            for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
+                const WriteEmitPlan::Run &run = plan->runs[r];
+                RunRank rr = runRank[r];
+                if (rr.rank == kMixedRank) {
+                    for (std::uint32_t i = run.begin; i < run.end; ++i) {
+                        if (stubRank[rr.offset + (i - run.begin)] == rank)
+                            emit(plan->stubs[i]);
+                    }
+                } else if (rr.rank == rank) {
+                    for (std::uint32_t i = run.begin; i < run.end; ++i)
+                        emit(plan->stubs[i]);
                 }
             }
-            for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
-                const WriteEmitPlan::Run &run = plan.runs[r];
-                for (std::uint32_t i = run.begin; i < run.end; ++i)
-                    storage[static_cast<std::size_t>(
-                        buckets[sranks[offset++]]++)] = plan.stubs[i];
-            }
-            continue;
+            if (out.size() > before)
+                return true;
         }
-        for (std::uint32_t r = br.firstRun; r < br.endRun; ++r) {
-            const WriteEmitPlan::Run &run = plan.runs[r];
-            auto len = run.end - run.begin;
-            int &cursor = buckets[run.rank];
-            std::copy_n(plan.stubs.data() + run.begin, len,
-                        storage.data() + cursor);
-            cursor += static_cast<int>(len);
-        }
+        ++rank;
+        step = 0;
     }
-    return storage;
+    return false;
 }
 
 bool
@@ -703,39 +647,223 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
         ids[i] = order[i].second;
 
     auto &previous = sc.prevWrite;
-    previous.assign(ids.size(), std::nullopt);
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-        Communication &comm = comms_.get(ids[i]);
-        previous[i] = comm.writeStub;
-        if (comm.writeStub) {
-            doReleaseWrite(*comm.writeStub, comm.value,
-                           writeStubCycleOf(comm.writer));
+    previous.resize(ids.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        previous[i] = comms_.get(ids[i]).writeStub;
+    if (sc.writeCursors.size() < ids.size())
+        sc.writeCursors.resize(ids.size());
+    sc.chosenWrite.resize(ids.size());
+
+    if (!constrain.valid() && resumeWriteSearch(sc, cycle))
+        return true;
+    return solveWriteStubs(sc, cycle, constrain, wantRf);
+}
+
+BlockScheduler::WriteDfs
+BlockScheduler::writeDfs(PermScratch &sc, std::size_t start, int budget)
+{
+    // Bounded depth-first search (Section 4.4), the same shape as the
+    // read search: first fit in candidate order, backtracking one level
+    // at a time, every candidate examined charged to the budget. The
+    // trial acquires and backtrack releases go straight to the table —
+    // they cancel out within the search, and commitWriteStubs journals
+    // only the net change. On Found every level in [start, n) holds
+    // its stub and chosenWrite names it; otherwise every stub this call
+    // acquired is released again.
+    const std::vector<CommId> &ids = sc.ids;
+    auto &choice = sc.choice;
+    auto release = [&](std::size_t level) {
+        const Communication &held = comms_.get(ids[level]);
+        reservations_.releaseWrite(sc.chosenWrite[level], held.value,
+                                   writeStubCycleOf(held.writer));
+        ++hot_.tableReleases;
+    };
+    std::size_t level = start;
+    while (level < ids.size()) {
+        const Communication &comm = comms_.get(ids[level]);
+        int write_cycle = writeStubCycleOf(comm.writer);
+        // Cooperative cancellation rides the budget, as in the read
+        // search.
+        if (abortRequested())
+            budget = 0;
+        ++hot_.dfsNodes;
+        WriteCursor &cursor = sc.writeCursors[level];
+        bool advanced = false;
+        for (int next = choice[level] + 1;; ++next) {
+            const WriteStub *candidate =
+                cursor.at(static_cast<std::size_t>(next));
+            if (candidate == nullptr)
+                break;
+            if (--budget <= 0)
+                break;
+            const WriteStub stub = *candidate;
+            // A read stub on the bus, or a write of another value,
+            // rejects this stub outright: skip the probe.
+            ReservationTable::BusWriteProbe bus_probe =
+                reservations_.busWriteProbe(stub.bus, write_cycle);
+            if (bus_probe.hasRead ||
+                (bus_probe.value.valid() &&
+                 bus_probe.value != comm.value)) {
+                ++hot_.pruneWriteBus;
+                continue;
+            }
+            ++hot_.probeWrites;
+            if (reservations_.canAcquireWrite(stub, comm.value,
+                                              write_cycle)) {
+                reservations_.acquireWrite(stub, comm.value, write_cycle);
+                ++hot_.tableAcquires;
+                sc.chosenWrite[level] = stub;
+                choice[level] = next;
+                ++level;
+                advanced = true;
+                break;
+            }
+        }
+        if (advanced)
+            continue;
+        if (budget <= 0) {
+            ++hot_.permBudgetExhausted;
+            while (level > start)
+                release(--level);
+            return WriteDfs::BudgetTrip;
+        }
+        if (level == start)
+            return WriteDfs::Exhausted;
+        // Backtrack: release the previous level's stub and resume its
+        // candidate scan at choice + 1.
+        choice[level] = -1;
+        release(--level);
+        ++hot_.permBacktracks;
+    }
+    return WriteDfs::Found;
+}
+
+bool
+BlockScheduler::resumeWriteSearch(PermScratch &sc, int cycle)
+{
+    // The held prefix: leading levels whose open communication holds a
+    // stub into a file the reader can fetch from directly. That stub
+    // is the unique rank-0 entry of its list, and the held stubs
+    // coexist, so a from-scratch DFS re-picks each of them first, at
+    // one candidate, one node and one probe per level (DESIGN.md §5d).
+    const std::vector<CommId> &ids = sc.ids;
+    const int budget = options_.permutationBudget;
+    auto &prefixValues = sc.distinctValues;
+    prefixValues.clear();
+    std::uint64_t prefixPruned = 0;
+    std::size_t p = 0;
+    for (; p < ids.size(); ++p) {
+        const Communication &comm = comms_.get(ids[p]);
+        if ((isScheduled(comm.reader) && comm.readStub.has_value()) ||
+            !comm.writeStub) {
+            break;
+        }
+        std::span<const std::uint8_t> codes = openCodesFor(comm);
+        if (codes[machine_.writePortRegFile(comm.writeStub->writePort)
+                      .index()] != BlockSchedulingContext::kStubReachable)
+            break;
+        prefixPruned +=
+            openWritePlan(codes, schedule_.placement(comm.writer).fu)
+                .pruned;
+        if (std::find(prefixValues.begin(), prefixValues.end(),
+                      comm.value) == prefixValues.end()) {
+            prefixValues.push_back(comm.value);
         }
     }
-
-    if (sc.writeStore.size() < ids.size())
-        sc.writeStore.resize(ids.size());
-    auto &candidates = sc.writeCands;
-    candidates.resize(ids.size());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (p == 0 || !std::cmp_less(p, budget))
+        return false;
+    // The later levels must rank the same whether the prefix is held
+    // or released: they hold no stub of their own, and no bus the
+    // prefix occupies can carry their value either way.
+    for (std::size_t i = p; i < ids.size(); ++i) {
         const Communication &comm = comms_.get(ids[i]);
-        candidates[i] = writeCandidatesFor(comm, sc.writeStore[i]);
-        if (ids[i] == constrain) {
-            std::vector<WriteStub> &store = sc.writeStore[i];
-            if (candidates[i].data() != store.data())
-                store.assign(candidates[i].begin(), candidates[i].end());
-            std::erase_if(store, [&](const WriteStub &stub) {
-                return machine_.writePortRegFile(stub.writePort) !=
-                       wantRf;
-            });
-            candidates[i] = store;
+        if (comm.writeStub ||
+            std::find(prefixValues.begin(), prefixValues.end(),
+                      comm.value) != prefixValues.end()) {
+            return false;
         }
+    }
+    if (abortRequested())
+        return false;
+
+    // Charge what the from-scratch DFS pays to reach level p; hand it
+    // back if the rest of the search needs the full run after all.
+    static constexpr std::uint64_t HotCounters::*kCharged[] = {
+        &HotCounters::dfsNodes,        &HotCounters::probeWrites,
+        &HotCounters::pruneWriteBus,   &HotCounters::pruneRouteMask,
+        &HotCounters::permBacktracks,  &HotCounters::permBudgetExhausted};
+    std::array<std::uint64_t, std::size(kCharged)> saved;
+    for (std::size_t k = 0; k < saved.size(); ++k)
+        saved[k] = hot_.*kCharged[k];
+    hot_.dfsNodes += p;
+    hot_.probeWrites += p;
+    hot_.pruneRouteMask += prefixPruned;
+
+    auto &choice = sc.choice;
+    choice.assign(ids.size(), -1);
+    for (std::size_t i = 0; i < p; ++i) {
+        choice[i] = 0;
+        sc.chosenWrite[i] = *sc.prevWrite[i];
+    }
+    reservations_.fillBusWriteValues(cycle, sc.busValues);
+    for (std::size_t i = p; i < ids.size(); ++i) {
+        openWriteCursor(sc.writeCursors[i], comms_.get(ids[i]), cycle,
+                        sc.busValues, RegFileId());
+    }
+    // First fit reaches level p with the lexicographically smallest
+    // feasible prefix — the held one — so a success here is the
+    // from-scratch result, and it implies the bus precheck (each
+    // distinct value holds a usable candidate bus). Anything else —
+    // a backtrack into the prefix, a budget trip — reruns from level 0.
+    if (writeDfs(sc, p, budget - static_cast<int>(p)) == WriteDfs::Found) {
+        commitWriteStubs(sc);
+        ++hot_.writePermsFound;
+        return true;
+    }
+    for (std::size_t k = 0; k < saved.size(); ++k)
+        hot_.*kCharged[k] = saved[k];
+    return false;
+}
+
+bool
+BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
+                                CommId constrain, RegFileId wantRf)
+{
+    const std::vector<CommId> &ids = sc.ids;
+    const auto &previous = sc.prevWrite;
+    // Release the current assignments (rollback restores them).
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (previous[i]) {
+            const Communication &comm = comms_.get(ids[i]);
+            reservations_.releaseWrite(*previous[i], comm.value,
+                                       writeStubCycleOf(comm.writer));
+            ++hot_.tableReleases;
+        }
+    }
+    auto restore = [&] {
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            if (previous[i]) {
+                const Communication &comm = comms_.get(ids[i]);
+                reservations_.acquireWrite(*previous[i], comm.value,
+                                           writeStubCycleOf(comm.writer));
+                ++hot_.tableAcquires;
+            }
+        }
+    };
+
+    // Candidate lists rank against the post-release row, fixed once.
+    reservations_.fillBusWriteValues(cycle, sc.busValues);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        openWriteCursor(sc.writeCursors[i], comms_.get(ids[i]), cycle,
+                        sc.busValues,
+                        ids[i] == constrain ? wantRf : RegFileId());
     }
 
     // Fast infeasibility check: different values never share a bus,
     // so the distinct values here need at least as many usable buses
     // (idle, or already carrying one of these values in write role)
-    // among the candidate stubs.
+    // among the candidate stubs. An unfiltered list's buses are its
+    // plan's; only the retargeted level narrows to stubs into wantRf.
     {
         auto &distinct = sc.distinctValues;
         distinct.clear();
@@ -746,13 +874,19 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
                 distinct.push_back(v);
             }
         }
-        // One pass collects the buses any candidate stub touches; the
-        // availability probes then run per bus, not per stub.
         InlineBitset &cand_buses = sc.candidateBuses;
         cand_buses.resize(machine_.numBuses());
-        for (const auto &list : candidates) {
-            for (const WriteStub &stub : list)
-                cand_buses.set(stub.bus.index());
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            const WriteEmitPlan &plan = *sc.writeCursors[i].plan;
+            if (ids[i] != constrain) {
+                for (const WriteEmitPlan::BusRuns &br : plan.buses)
+                    cand_buses.set(br.bus);
+                continue;
+            }
+            for (const WriteStub &stub : plan.stubs) {
+                if (machine_.writePortRegFile(stub.writePort) == wantRf)
+                    cand_buses.set(stub.bus.index());
+            }
         }
         std::size_t usable_count = 0;
         for (std::size_t b = 0; b < machine_.numBuses(); ++b) {
@@ -769,85 +903,14 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
         if (distinct.size() > usable_count) {
             ++hot_.writePermBusPrechecks;
             noteReject(RejectReason::BusConflict);
-            for (std::size_t i = 0; i < ids.size(); ++i) {
-                const Communication &held = comms_.get(ids[i]);
-                if (previous[i]) {
-                    doAcquireWrite(*previous[i], held.value,
-                                   writeStubCycleOf(held.writer));
-                }
-            }
+            restore();
             return false;
         }
     }
 
-    // Bounded depth-first search; same shape as the read search.
-    auto &choice = sc.choice;
-    auto release_all = [&](std::size_t level) {
-        while (level > 0) {
-            --level;
-            Communication &held = comms_.get(ids[level]);
-            doReleaseWrite(candidates[level][choice[level]], held.value,
-                           writeStubCycleOf(held.writer));
-        }
-    };
     std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
-    bool success = [&] {
-        int budget = options_.permutationBudget;
-        choice.assign(ids.size(), -1);
-        std::size_t level = 0;
-        while (level < ids.size()) {
-            Communication &comm = comms_.get(ids[level]);
-            int write_cycle = writeStubCycleOf(comm.writer);
-            // Same cancellation-as-budget trick as the read search.
-            if (abortRequested())
-                budget = 0;
-            ++hot_.dfsNodes;
-            bool advanced = false;
-            for (int next = choice[level] + 1;
-                 next < static_cast<int>(candidates[level].size());
-                 ++next) {
-                if (--budget <= 0)
-                    break;
-                const WriteStub &stub = candidates[level][next];
-                // A read stub on the bus, or a write of another value,
-                // rejects this stub outright: skip the probe.
-                ReservationTable::BusWriteProbe bus_probe =
-                    reservations_.busWriteProbe(stub.bus, write_cycle);
-                if (bus_probe.hasRead ||
-                    (bus_probe.value.valid() &&
-                     bus_probe.value != comm.value)) {
-                    ++hot_.pruneWriteBus;
-                    continue;
-                }
-                ++hot_.probeWrites;
-                if (reservations_.canAcquireWrite(stub, comm.value,
-                                                  write_cycle)) {
-                    doAcquireWrite(stub, comm.value, write_cycle);
-                    choice[level] = next;
-                    ++level;
-                    advanced = true;
-                    break;
-                }
-            }
-            if (advanced)
-                continue;
-            if (budget <= 0) {
-                ++hot_.permBudgetExhausted;
-                release_all(level);
-                return false;
-            }
-            if (level == 0)
-                return false;
-            choice[level] = -1;
-            --level;
-            Communication &held = comms_.get(ids[level]);
-            doReleaseWrite(candidates[level][choice[level]], held.value,
-                           writeStubCycleOf(held.writer));
-            ++hot_.permBacktracks;
-        }
-        return true;
-    }();
-    if (!success) {
+    sc.choice.assign(ids.size(), -1);
+    if (writeDfs(sc, 0, options_.permutationBudget) != WriteDfs::Found) {
         // Classify: abort already noted at the latch; a communication
         // with no candidate write stubs at all is the "no serviceable
         // write stub" case (nothing the other levels choose can fix
@@ -855,28 +918,59 @@ BlockScheduler::permuteWriteStubsImpl(int cycle, CommId constrain,
         // exhausted the write-port space.
         if (!aborted_) {
             bool emptyList = false;
-            for (const auto &list : candidates)
-                emptyList = emptyList || list.empty();
+            for (std::size_t i = 0; i < ids.size() && !emptyList; ++i)
+                emptyList = sc.writeCursors[i].at(0) == nullptr;
             noteReject(
                 emptyList ? RejectReason::NoServiceableWriteStub
                 : hot_.permBudgetExhausted > budgetExhaustedBefore
                     ? RejectReason::BudgetExhausted
                     : RejectReason::WritePortConflict);
         }
-        for (std::size_t i = 0; i < ids.size(); ++i) {
-            Communication &held = comms_.get(ids[i]);
-            if (previous[i]) {
-                doAcquireWrite(*previous[i], held.value,
-                               writeStubCycleOf(held.writer));
-            }
-        }
+        restore();
         return false;
     }
-
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        setWriteStub(ids[i], candidates[i][choice[i]]);
+    commitWriteStubs(sc);
     ++hot_.writePermsFound;
     return true;
+}
+
+void
+BlockScheduler::commitWriteStubs(PermScratch &sc)
+{
+    // The table already holds the new assignment. Journal the net
+    // change only, for the levels whose stub changed: every replaced
+    // stub's release, then every new stub's acquire, then the stub
+    // records. Releases first, so an undo frees every new stub before
+    // it re-acquires any old one: after two communications of
+    // different values swap stubs, per-level interleaving would
+    // re-acquire a stub the other value still holds.
+    const std::vector<CommId> &ids = sc.ids;
+    const auto &previous = sc.prevWrite;
+    auto changed = [&](std::size_t i) {
+        return !previous[i] || *previous[i] != sc.chosenWrite[i];
+    };
+    auto journal = [&](UndoEntry::Kind kind, std::size_t i,
+                       const WriteStub &stub) {
+        const Communication &comm = comms_.get(ids[i]);
+        UndoEntry entry{};
+        entry.kind = kind;
+        entry.writeStub = stub;
+        entry.value = comm.value;
+        entry.cycle = writeStubCycleOf(comm.writer);
+        log_.push(entry);
+    };
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (previous[i] && changed(i))
+            journal(UndoEntry::Kind::WriteReleased, i, *previous[i]);
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (changed(i))
+            journal(UndoEntry::Kind::WriteAcquired, i, sc.chosenWrite[i]);
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        if (changed(i))
+            setWriteStub(ids[i], sc.chosenWrite[i]);
+    }
 }
 
 bool

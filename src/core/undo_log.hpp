@@ -4,7 +4,9 @@
  * state (reservations, placements, communication records, inserted
  * copies) is recorded; a failed placement attempt rolls back by
  * replaying the journal in reverse to a mark. This replaces full-state
- * snapshots, which dominated scheduling time on large kernels.
+ * snapshots, which dominated scheduling time on large kernels. A step
+ * whose intermediate moves cancel out (the write-stub search's trial
+ * acquires and releases) journals only its net change.
  *
  * All mutations are LIFO-compatible: communications are only appended
  * (undo pops the newest, from the table and its reader/writer

@@ -294,7 +294,7 @@ emitInstant(std::uint16_t name, std::uint8_t argCount,
 }
 
 std::vector<Event>
-drain()
+drain(std::vector<std::uint64_t> *lost)
 {
     // Snapshot the buffer list under the registry lock; the buffers
     // themselves are drained lock-free.
@@ -308,6 +308,8 @@ drain()
     }
 
     std::vector<Event> events;
+    if (lost != nullptr)
+        lost->assign(buffers.size(), 0);
     for (ThreadBuffer *buffer : buffers) {
         std::uint64_t head = buffer->head.load(std::memory_order_acquire);
         std::uint64_t floor =
@@ -315,13 +317,20 @@ drain()
         std::uint64_t first =
             head > kCapacity ? head - kCapacity : 0;
         first = std::max(first, floor);
+        // Tickets in [floor, first) were overwritten before this drain;
+        // a slot that fails to decode is being overwritten during it.
+        std::uint64_t missing = first - floor;
         for (std::uint64_t t = first; t < head; ++t) {
             Event event;
             bool ok = false;
             decodeSlot(*buffer, t, event, ok);
             if (ok)
                 events.push_back(event);
+            else
+                ++missing;
         }
+        if (lost != nullptr)
+            (*lost)[buffer->tid] = missing;
     }
     std::stable_sort(events.begin(), events.end(),
                      [](const Event &a, const Event &b) {
@@ -386,15 +395,31 @@ exportChromeTrace(std::ostream &os)
 }
 
 std::vector<SpanStats>
-aggregateSpans(const std::vector<Event> &events)
+aggregateSpans(const std::vector<Event> &events,
+               const std::vector<std::uint64_t> &lost)
 {
     std::map<std::uint16_t, std::vector<std::int64_t>> byName;
     std::vector<const Event *> spans;
+    // Per lossy thread, when its oldest surviving event was emitted (a
+    // span is emitted as it closes): anything emitted earlier is gone.
+    std::map<std::uint32_t, std::int64_t> oldestEmit;
     for (const Event &e : events) {
         if (e.kind == EventKind::Span) {
             byName[e.name].push_back(e.durNs);
             spans.push_back(&e);
         }
+        if (e.tid < lost.size() && lost[e.tid] > 0) {
+            std::int64_t emitted = e.tsNs + e.durNs;
+            auto [it, fresh] = oldestEmit.try_emplace(e.tid, emitted);
+            if (!fresh)
+                it->second = std::min(it->second, emitted);
+        }
+    }
+    std::map<std::uint16_t, std::uint64_t> suspectByName;
+    for (const Event *e : spans) {
+        auto it = oldestEmit.find(e->tid);
+        if (it != oldestEmit.end() && e->tsNs < it->second)
+            ++suspectByName[e->name];
     }
 
     // Self time: walk each thread's spans in start order (an enclosing
@@ -439,6 +464,7 @@ aggregateSpans(const std::vector<Event> &events)
         };
         s.totalMs = static_cast<double>(total) * 1e-6;
         s.selfMs = static_cast<double>(selfByName[name]) * 1e-6;
+        s.selfSuspect = suspectByName[name];
         s.p50Ms = pct(0.50);
         s.p95Ms = pct(0.95);
         s.maxMs = static_cast<double>(durations.back()) * 1e-6;

@@ -18,7 +18,9 @@
  *    is data-race-free by construction (the TSan drain test pins
  *    this).
  *  - The ring wraps: when a buffer fills, the oldest events are
- *    overwritten and the newest are kept.
+ *    overwritten and the newest are kept. drain() reports per thread
+ *    how many events it lost that way, and aggregateSpans() flags
+ *    the self time such a loss may have inflated.
  *  - Event names and argument names are interned 16-bit ids; the
  *    CS_TRACE_* macros intern once per call site via a static local.
  *  - Runtime toggle: trace::setEnabled(true). When disabled (the
@@ -85,6 +87,10 @@ struct SpanStats
      *  on the same thread. Summed over all names it is the time the
      *  outermost spans cover, so each name's time is counted once. */
     double selfMs = 0.0;
+    /** Spans of this name whose self time may include lost children:
+     *  they started before the oldest surviving event of a thread
+     *  that lost events, so selfMs is an upper bound for them. */
+    std::uint64_t selfSuspect = 0;
     double p50Ms = 0.0;
     double p95Ms = 0.0;
     double maxMs = 0.0;
@@ -153,8 +159,14 @@ void emitInstant(std::uint16_t name, std::uint8_t argCount = 0,
  * events overwritten mid-read are discarded, newly emitted events may
  * or may not make the snapshot. Draining does not consume — two
  * quiescent drains return the same events.
+ *
+ * When @p lost is given it receives, indexed by Event::tid, how many
+ * events each thread emitted since the last clear() that this drain
+ * could not return because the ring overwrote them. (Draining does
+ * not consume, so clear() is the only floor: every drain reports its
+ * loss against it.)
  */
-std::vector<Event> drain();
+std::vector<Event> drain(std::vector<std::uint64_t> *lost = nullptr);
 
 /**
  * Forget everything buffered so far (a floor per thread buffer; no
@@ -181,8 +193,15 @@ void exportChromeTrace(std::ostream &os);
  * order the cs_explain front-end prints. A span's direct children are
  * the spans of the same thread it is the innermost enclosing span
  * of; spans on other threads never reduce its self time.
+ *
+ * @p lost is drain()'s per-thread loss. On a thread that lost events,
+ * a span that started before the thread's oldest surviving event was
+ * emitted may have had children among the lost, so its self time is
+ * counted in SpanStats::selfSuspect.
  */
-std::vector<SpanStats> aggregateSpans(const std::vector<Event> &events);
+std::vector<SpanStats>
+aggregateSpans(const std::vector<Event> &events,
+               const std::vector<std::uint64_t> &lost = {});
 /// @}
 
 /**

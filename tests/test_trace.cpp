@@ -411,6 +411,56 @@ TEST(TraceAggregate, SpanStatsSummarizeDurations)
     EXPECT_NEAR(byName["trace_test.grandchild"].selfMs, 1.0, 1e-9);
     EXPECT_NEAR(byName["trace_test.other"].totalMs, 4.0, 1e-9);
     EXPECT_NEAR(byName["trace_test.other"].selfMs, 4.0, 1e-9);
+    for (const auto &[spanName, stats] : byName)
+        EXPECT_EQ(stats.selfSuspect, 0u) << spanName;
+}
+
+TEST(TraceAggregate, OverflowCountsLostEventsAndFlagsSelfTime)
+{
+    ScopedTracing tracing(true);
+    // One parent span over more children than the ring holds, on a
+    // thread of its own: children close (and are emitted) first, so
+    // the oldest ones are overwritten before the parent is emitted.
+    const std::size_t capacity = trace::threadBufferCapacity();
+    const std::size_t children = capacity + 10;
+    const std::uint16_t parent = trace::internName("trace_test.lossy");
+    const std::uint16_t child =
+        trace::internName("trace_test.lossy_child");
+    const std::int64_t base = trace::nowNs();
+    std::thread writer([&] {
+        for (std::size_t i = 0; i < children; ++i) {
+            trace::emitSpan(child, base + static_cast<std::int64_t>(i) * 10,
+                            5);
+        }
+        trace::emitSpan(parent, base,
+                        static_cast<std::int64_t>(children) * 10);
+    });
+    writer.join();
+    trace::setEnabled(false);
+
+    std::vector<std::uint64_t> lost;
+    std::vector<trace::Event> events = trace::drain(&lost);
+    std::uint64_t lostTotal = 0;
+    for (std::uint64_t n : lost)
+        lostTotal += n;
+    // children + 1 events emitted into `capacity` slots.
+    EXPECT_EQ(lostTotal, children + 1 - capacity);
+
+    std::map<std::string, trace::SpanStats> byName;
+    for (trace::SpanStats &s : trace::aggregateSpans(events, lost))
+        byName[s.name] = s;
+    const trace::SpanStats &p = byName["trace_test.lossy"];
+    const trace::SpanStats &c = byName["trace_test.lossy_child"];
+    EXPECT_EQ(p.count, 1u);
+    EXPECT_EQ(c.count, capacity - 1);
+    // The parent outlived its lost children, so its self time absorbs
+    // theirs and is flagged. Of the children only the oldest survivor
+    // started before the oldest surviving emission (its own end).
+    EXPECT_EQ(p.selfSuspect, 1u);
+    EXPECT_EQ(c.selfSuspect, 1u);
+    // Without the loss vector nothing is flagged.
+    for (trace::SpanStats &s : trace::aggregateSpans(events))
+        EXPECT_EQ(s.selfSuspect, 0u) << s.name;
 }
 
 TEST(TraceTsan, ConcurrentWritersAndDrainers)
