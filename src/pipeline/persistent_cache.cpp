@@ -390,11 +390,11 @@ PersistentScheduleCache::shardFor(std::uint64_t key)
     return *shards_[key % shards_.size()];
 }
 
-std::optional<JobResult>
+std::shared_ptr<const JobResult>
 PersistentScheduleCache::lookup(std::uint64_t key)
 {
-    std::optional<JobResult> hit = memory_.lookup(key);
-    if (hit.has_value() || shards_.empty())
+    std::shared_ptr<const JobResult> hit = memory_.lookup(key);
+    if (hit != nullptr || shards_.empty())
         return hit;
 
     Shard &shard = shardFor(key);
@@ -404,7 +404,7 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     if (it == shard.index.end()) {
         std::lock_guard<std::mutex> slock(statsMutex_);
         ++diskStats_.misses;
-        return std::nullopt;
+        return nullptr;
     }
     auto [offset, length] = it->second;
     std::size_t span = length + kShardRecordTrailerBytes;
@@ -436,7 +436,7 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     // Validate again at read time: the open-path index vouched for the
     // record once, but the file may have been rewritten or damaged
     // since. Any failure degrades to a miss.
-    JobResult result;
+    auto result = std::make_shared<JobResult>();
     if (ok) {
         std::uint64_t check = wire::loadU64le(payload + length);
         ok = fnv1aBytes(payload, length) == check;
@@ -444,23 +444,26 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     if (ok) {
         wire::ByteReader reader(
             std::span<const std::uint8_t>(payload, length));
-        ok = decodeJobResult(reader, &result) && reader.atEnd();
+        ok = decodeJobResult(reader, result.get()) && reader.atEnd();
     }
-    std::lock_guard<std::mutex> slock(statsMutex_);
     if (!ok) {
         shard.index.erase(it);
+        std::lock_guard<std::mutex> slock(statsMutex_);
         ++diskStats_.readErrors;
         ++diskStats_.misses;
-        return std::nullopt;
+        return nullptr;
     }
-    ++diskStats_.hits;
-    memory_.insert(key, result); // promote to the front tier
+    {
+        std::lock_guard<std::mutex> slock(statsMutex_);
+        ++diskStats_.hits;
+    }
+    memory_.insert(key, result); // promote the one decoded result
     return result;
 }
 
 void
 PersistentScheduleCache::insert(std::uint64_t key,
-                                const JobResult &result)
+                                std::shared_ptr<const JobResult> result)
 {
     memory_.insert(key, result);
     if (shards_.empty())
@@ -469,7 +472,7 @@ PersistentScheduleCache::insert(std::uint64_t key,
     std::vector<std::uint8_t> payload;
     {
         wire::ByteWriter writer(payload);
-        encodeJobResult(writer, result);
+        encodeJobResult(writer, *result);
     }
     if (payload.size() > kMaxPayload) {
         CS_WARN("schedule cache: result too large to persist (",

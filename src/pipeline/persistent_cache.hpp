@@ -78,7 +78,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -131,12 +130,14 @@ class PersistentScheduleCache
     ~PersistentScheduleCache();
 
     /**
-     * Memory tier first, then disk. A disk hit validates, decodes, and
-     * promotes the record into the memory tier. Counts one hit or miss
-     * on the tier that answered (a disk hit counts a memory miss too:
-     * per-tier counters stay truthful).
+     * Memory tier first, then disk; null on a miss. A memory hit is
+     * the shared stored result. A disk hit validates and decodes the
+     * record once into a new shared result and promotes that pointer
+     * into the memory tier. Counts one hit or miss on the tier that
+     * answered (a disk hit counts a memory miss too: per-tier counters
+     * stay truthful).
      */
-    std::optional<JobResult> lookup(std::uint64_t key);
+    std::shared_ptr<const JobResult> lookup(std::uint64_t key);
 
     /**
      * Insert into both tiers. The disk write is a single append on the
@@ -146,7 +147,7 @@ class PersistentScheduleCache
      * counter — the memory tier still holds it, and correctness never
      * depends on the disk tier.
      */
-    void insert(std::uint64_t key, const JobResult &result);
+    void insert(std::uint64_t key, std::shared_ptr<const JobResult> result);
 
     /** Front-tier (memory LRU) counters, as before. */
     ScheduleCache::Stats stats() const { return memory_.stats(); }

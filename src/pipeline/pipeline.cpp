@@ -13,20 +13,41 @@ namespace cs {
 
 /**
  * Rendezvous for duplicate in-flight jobs: the leader schedules and
- * publishes here; joiners block on the condition variable and copy
- * the result out. Held by shared_ptr so a leader that finishes after
- * its key was already re-inserted (or the map cleared) still has a
- * live object to publish into.
+ * publishes its shared result here; joiners block on the condition
+ * variable, then copy the result out after releasing the lock. Held by
+ * shared_ptr so a leader that finishes after its key was already
+ * re-inserted (or the map cleared) still has a live object to publish
+ * into.
  */
 struct SchedulingPipeline::InFlightJob
 {
     std::mutex mutex;
     std::condition_variable cv;
     bool done = false;
-    JobResult result;
+    std::shared_ptr<const JobResult> result;
 };
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double
+msSince(Clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(Clock::now() - start)
+        .count();
+}
+
+/** A cached result as runOne() returns a hit: the caller's own copy,
+ *  marked as a hit and timed from @p start. */
+JobResult
+copyHit(const JobResult &cached, Clock::time_point start)
+{
+    JobResult out = cached;
+    out.cacheHit = true;
+    out.wallMs = msSince(start);
+    return out;
+}
 
 unsigned
 resolveThreads(unsigned requested)
@@ -70,8 +91,9 @@ SchedulingPipeline::run(const std::vector<ScheduleJob> &jobs)
 {
     std::vector<JobResult> results(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        bool accepted = pool_.submit(
-            [this, &jobs, &results, i] { results[i] = runOne(jobs[i]); });
+        bool accepted = pool_.submit([this, &jobs, &results, i] {
+            results[i] = runOne(jobs[i], scheduleJobKey(jobs[i]));
+        });
         CS_ASSERT(accepted, "pipeline pool rejected a job");
     }
     pool_.waitIdle();
@@ -84,29 +106,43 @@ SchedulingPipeline::submit(ScheduleJob job,
 {
     return pool_.submit(
         [this, job = std::move(job), done = std::move(done)] {
-            done(runOne(job));
+            done(runOne(job, scheduleJobKey(job)));
         });
 }
 
-std::optional<JobResult>
-SchedulingPipeline::lookupCached(const ScheduleJob &job)
+bool
+SchedulingPipeline::submit(ScheduleJob job, std::uint64_t key,
+                           std::function<void(JobResult)> done)
 {
-    auto start = std::chrono::steady_clock::now();
-    std::uint64_t key = scheduleJobKey(job);
+    return pool_.submit(
+        [this, job = std::move(job), key, done = std::move(done)] {
+            done(runOne(job, key));
+        });
+}
 
-    std::optional<JobResult> cached = cache_.lookup(key);
-    if (!cached.has_value())
-        return std::nullopt;
+std::shared_ptr<const JobResult>
+SchedulingPipeline::probeCached(std::uint64_t key)
+{
+    std::shared_ptr<const JobResult> cached = cache_.lookup(key);
+    if (cached == nullptr)
+        return nullptr;
     CS_TRACE_INSTANT1("cache_probe", "hit", 1);
-    cached->cacheHit = true;
-    auto end = std::chrono::steady_clock::now();
-    cached->wallMs =
-        std::chrono::duration<double, std::milli>(end - start).count();
     stats_.bump("pipeline.jobs");
     stats_.bump("pipeline.cache_hits");
     if (!cached->success)
         stats_.bump("pipeline.failures");
     return cached;
+}
+
+std::optional<JobResult>
+SchedulingPipeline::lookupCached(const ScheduleJob &job)
+{
+    auto start = Clock::now();
+    std::shared_ptr<const JobResult> cached =
+        probeCached(scheduleJobKey(job));
+    if (cached == nullptr)
+        return std::nullopt;
+    return copyHit(*cached, start);
 }
 
 JobResult
@@ -128,11 +164,26 @@ SchedulingPipeline::scheduleOne(const ScheduleJob &job)
                                             : nullptr);
 }
 
+void
+SchedulingPipeline::countScheduled(const JobResult &result)
+{
+    stats_.bump("pipeline.jobs");
+    stats_.bump("pipeline.cache_misses");
+    if (result.cancelled)
+        stats_.bump("pipeline.cancelled");
+    if (!result.success)
+        stats_.bump("pipeline.failures");
+    if (!result.verifierErrors.empty())
+        stats_.bump("pipeline.verifier_rejects");
+    stats_.merge(result.sched.stats);
+}
+
 JobResult
 SchedulingPipeline::joinInFlight(const ScheduleJob &job,
-                                 InFlightJob &flight)
+                                 std::uint64_t key, InFlightJob &flight)
 {
-    auto start = std::chrono::steady_clock::now();
+    auto start = Clock::now();
+    std::shared_ptr<const JobResult> led;
     {
         std::unique_lock<std::mutex> lock(flight.mutex);
         while (!flight.done) {
@@ -141,10 +192,7 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
                 // Our deadline, not the leader's: abandon the join.
                 JobResult out;
                 out.cancelled = true;
-                auto end = std::chrono::steady_clock::now();
-                out.wallMs = std::chrono::duration<double, std::milli>(
-                                 end - start)
-                                 .count();
+                out.wallMs = msSince(start);
                 stats_.bump("pipeline.jobs");
                 stats_.bump("pipeline.dedup_joins");
                 stats_.bump("pipeline.cancelled");
@@ -158,46 +206,35 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
                 flight.cv.wait(lock);
             }
         }
-        if (!flight.result.cancelled) {
-            JobResult out = flight.result;
-            auto end = std::chrono::steady_clock::now();
-            out.wallMs =
-                std::chrono::duration<double, std::milli>(end - start)
-                    .count();
-            stats_.bump("pipeline.jobs");
-            stats_.bump("pipeline.dedup_joins");
-            if (!out.success)
-                stats_.bump("pipeline.failures");
-            return out;
-        }
+        led = flight.result;
+    }
+    if (!led->cancelled) {
+        JobResult out = *led;
+        out.wallMs = msSince(start);
+        stats_.bump("pipeline.jobs");
+        stats_.bump("pipeline.dedup_joins");
+        if (!out.success)
+            stats_.bump("pipeline.failures");
+        return out;
     }
     // The leader hit *its* deadline; its result says nothing about
     // ours. Schedule for ourselves (rare: only under cancellation).
-    JobResult result = scheduleOne(job);
-    if (!result.cancelled)
-        cache_.insert(scheduleJobKey(job), result);
-    stats_.bump("pipeline.jobs");
-    stats_.bump("pipeline.cache_misses");
-    if (result.cancelled)
-        stats_.bump("pipeline.cancelled");
-    if (!result.success)
-        stats_.bump("pipeline.failures");
-    if (!result.verifierErrors.empty())
-        stats_.bump("pipeline.verifier_rejects");
-    stats_.merge(result.sched.stats);
-    return result;
+    auto result = std::make_shared<const JobResult>(scheduleOne(job));
+    if (!result->cancelled)
+        cache_.insert(key, result);
+    countScheduled(*result);
+    return *result;
 }
 
 JobResult
-SchedulingPipeline::runOne(const ScheduleJob &job)
+SchedulingPipeline::runOne(const ScheduleJob &job, std::uint64_t key)
 {
+    auto start = Clock::now();
     // The hit path *is* the serving fast path: runOne and the
     // reader-thread probe in serve/server.cpp must count and shape
-    // hits identically, so both go through lookupCached.
-    if (std::optional<JobResult> cached = lookupCached(job))
-        return *cached;
-
-    std::uint64_t key = scheduleJobKey(job);
+    // hits identically, so both go through probeCached.
+    if (std::shared_ptr<const JobResult> cached = probeCached(key))
+        return copyHit(*cached, start);
     CS_TRACE_INSTANT1("cache_probe", "hit", 0);
 
     // Singleflight: concurrent duplicates all miss the cache (the
@@ -215,13 +252,14 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
     }
     if (!leader) {
         CS_TRACE_INSTANT1("dedup_join", "hit", 1);
-        return joinInFlight(job, *flight);
+        return joinInFlight(job, key, *flight);
     }
 
-    JobResult result = scheduleOne(job);
+    // One shared result serves the cache, the joiners and our copy.
+    auto result = std::make_shared<const JobResult>(scheduleOne(job));
     // A cancelled result reflects the caller's deadline, not the job's
     // content — caching it would serve a stale abort to future callers.
-    if (!result.cancelled)
+    if (!result->cancelled)
         cache_.insert(key, result);
 
     if (flight != nullptr) {
@@ -240,16 +278,8 @@ SchedulingPipeline::runOne(const ScheduleJob &job)
         flight->cv.notify_all();
     }
 
-    stats_.bump("pipeline.jobs");
-    stats_.bump("pipeline.cache_misses");
-    if (result.cancelled)
-        stats_.bump("pipeline.cancelled");
-    if (!result.success)
-        stats_.bump("pipeline.failures");
-    if (!result.verifierErrors.empty())
-        stats_.bump("pipeline.verifier_rejects");
-    stats_.merge(result.sched.stats);
-    return result;
+    countScheduled(*result);
+    return *result;
 }
 
 CounterSet

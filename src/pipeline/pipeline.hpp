@@ -136,14 +136,30 @@ class SchedulingPipeline
     bool submit(ScheduleJob job, std::function<void(JobResult)> done);
 
     /**
-     * Synchronous cache probe for serving fast paths: if @p job is a
-     * warm hit, return its result exactly as runOne() would have
-     * (cacheHit set, fresh lookup wall time, the same pipeline.jobs /
-     * pipeline.cache_hits / pipeline.failures counter bumps) — without
-     * touching the worker pool. A miss returns nullopt and bumps
-     * *nothing*: the caller is expected to fall back to submit(),
-     * whose runOne() then counts the miss once. Safe to call
-     * concurrently from any thread.
+     * submit() for a caller that already holds the job's content key,
+     * scheduleJobKey(job): the run probes, coalesces and inserts under
+     * @p key instead of hashing the job again.
+     */
+    bool submit(ScheduleJob job, std::uint64_t key,
+                std::function<void(JobResult)> done);
+
+    /**
+     * Synchronous cache probe by content key, for serving fast paths.
+     * A warm hit returns the shared cached result and makes the same
+     * pipeline.jobs / pipeline.cache_hits / pipeline.failures counter
+     * bumps as a hit in runOne(), without touching the worker pool. A
+     * miss returns null and bumps *nothing*: the caller is expected to
+     * fall back to submit(), whose run then counts the miss once. The
+     * result is the stored one, so its cacheHit/wallMs describe the
+     * run that populated it; the caller reports this lookup's on its
+     * own copy or response. Safe to call concurrently from any thread.
+     */
+    std::shared_ptr<const JobResult> probeCached(std::uint64_t key);
+
+    /**
+     * probeCached(scheduleJobKey(job)), copied out as runOne() returns
+     * a hit: cacheHit set, and a wall time covering the key and the
+     * lookup. nullopt on a miss, which bumps nothing.
      */
     std::optional<JobResult> lookupCached(const ScheduleJob &job);
 
@@ -186,11 +202,15 @@ class SchedulingPipeline
     /** One in-flight scheduling run joiners can attach to. */
     struct InFlightJob;
 
-    JobResult runOne(const ScheduleJob &job);
+    /** Probe, coalesce or schedule one job whose content key is @p key. */
+    JobResult runOne(const ScheduleJob &job, std::uint64_t key);
     /** Schedule (no cache probe), via the shared analysis cache. */
     JobResult scheduleOne(const ScheduleJob &job);
     /** Block until the leader finishes, then adopt its result. */
-    JobResult joinInFlight(const ScheduleJob &job, InFlightJob &flight);
+    JobResult joinInFlight(const ScheduleJob &job, std::uint64_t key,
+                           InFlightJob &flight);
+    /** The counter bumps of a job this pipeline scheduled itself. */
+    void countScheduled(const JobResult &result);
 
     // Workers touch the caches and stats_ until the pools join, so
     // all must be declared before the pools (destroyed after them).

@@ -1,19 +1,21 @@
 #include "pipeline/schedule_cache.hpp"
 
+#include <utility>
+
 namespace cs {
 
 ScheduleCache::ScheduleCache(std::size_t capacity) : capacity_(capacity)
 {
 }
 
-std::optional<JobResult>
+std::shared_ptr<const JobResult>
 ScheduleCache::lookup(std::uint64_t key)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
     if (it == index_.end()) {
         ++misses_;
-        return std::nullopt;
+        return nullptr;
     }
     ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second);
@@ -21,23 +23,29 @@ ScheduleCache::lookup(std::uint64_t key)
 }
 
 void
-ScheduleCache::insert(std::uint64_t key, const JobResult &result)
+ScheduleCache::insert(std::uint64_t key,
+                      std::shared_ptr<const JobResult> result)
 {
     if (capacity_ == 0)
         return;
+    // The evicted or replaced pointer is released after the unlock:
+    // dropping the last reference frees a whole result, which no other
+    // lookup should wait for.
+    std::shared_ptr<const JobResult> released;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
     if (it != index_.end()) {
-        it->second->second = result;
+        released = std::exchange(it->second->second, std::move(result));
         lru_.splice(lru_.begin(), lru_, it->second);
         return;
     }
     if (lru_.size() >= capacity_) {
         index_.erase(lru_.back().first);
+        released = std::move(lru_.back().second);
         lru_.pop_back();
         ++evictions_;
     }
-    lru_.emplace_front(key, result);
+    lru_.emplace_front(key, std::move(result));
     index_[key] = lru_.begin();
 }
 

@@ -10,13 +10,22 @@
  * constantly (the same kernel on the same machine across batches,
  * sweeps that revisit configurations, repeated service requests), and
  * a schedule is orders of magnitude more expensive to compute than to
- * copy out of a map.
+ * look up.
  *
- * Entries are whole JobResults, so for pipelined jobs each entry also
- * records the achieved II and the II-search attempt accounting
- * (iiAttempts / iiAttemptsWasted) of the run that populated it; the
- * serial and speculative searches produce the same schedule for the
- * same key, so either may serve a hit for the other.
+ * Entries are shared, immutable JobResults: a hit hands out another
+ * reference to the stored result (a reference-count bump under the LRU
+ * mutex), so concurrent hits do not queue behind a copy of the kernel,
+ * routes, listing and counters. A held result stays valid after its key
+ * is evicted or overwritten, because insert() replaces the pointer and
+ * never writes through it. The stored cacheHit/wallMs fields are those
+ * of the run that populated the entry; what one lookup took is the
+ * caller's to report, on its own copy or response.
+ *
+ * For pipelined jobs each entry also records the achieved II and the
+ * II-search attempt accounting (iiAttempts / iiAttemptsWasted) of the
+ * run that populated it; the serial and speculative searches produce
+ * the same schedule for the same key, so either may serve a hit for
+ * the other.
  */
 
 #ifndef CS_PIPELINE_SCHEDULE_CACHE_HPP
@@ -25,8 +34,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <unordered_map>
 
 #include "pipeline/job.hpp"
@@ -42,19 +51,18 @@ class ScheduleCache
     explicit ScheduleCache(std::size_t capacity);
 
     /**
-     * Look up a content key. A hit copies the stored result out (the
-     * copy is what makes a later eviction safe) and refreshes its LRU
-     * position. Counts a hit or a miss.
+     * Look up a content key: the shared stored result, or null on a
+     * miss. A hit refreshes the entry's LRU position. Counts a hit or
+     * a miss.
      */
-    std::optional<JobResult> lookup(std::uint64_t key);
+    std::shared_ptr<const JobResult> lookup(std::uint64_t key);
 
     /**
      * Store a result, evicting the least-recently-used entry when
-     * full. Inserting an existing key refreshes the stored value. The
-     * cacheHit/wallMs fields stored are returned verbatim on later
-     * hits; callers overwrite them per lookup.
+     * full. Inserting an existing key replaces the stored pointer;
+     * results already handed out are untouched.
      */
-    void insert(std::uint64_t key, const JobResult &result);
+    void insert(std::uint64_t key, std::shared_ptr<const JobResult> result);
 
     /** Counter snapshot. */
     struct Stats
@@ -86,7 +94,8 @@ class ScheduleCache
     mutable std::mutex mutex_;
     std::size_t capacity_;
     /** Most-recently-used entries at the front. */
-    std::list<std::pair<std::uint64_t, JobResult>> lru_;
+    std::list<std::pair<std::uint64_t, std::shared_ptr<const JobResult>>>
+        lru_;
     std::unordered_map<std::uint64_t, decltype(lru_)::iterator> index_;
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

@@ -473,6 +473,13 @@ encodeRequest(wire::ByteWriter &writer, const Request &request)
 bool
 decodeRequest(wire::ByteReader &reader, Request *out)
 {
+    return decodeRequestHeader(reader, out) &&
+           decodeRequestBody(reader, out);
+}
+
+bool
+decodeRequestHeader(wire::ByteReader &reader, Request *out)
+{
     std::uint8_t version = reader.u8();
     if (!reader.failed() && (version < kMinProtocolVersion ||
                              version > kProtocolVersion)) {
@@ -503,6 +510,12 @@ decodeRequest(wire::ByteReader &reader, Request *out)
         reader.fail("unknown request type " + std::to_string(type));
         return false;
     }
+    return true;
+}
+
+bool
+decodeRequestBody(wire::ByteReader &reader, Request *out)
+{
     if (out->type == RequestType::Schedule) {
         std::optional<JobSet> jobs;
         if (!decodeJobSet(reader, &jobs))

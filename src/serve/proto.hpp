@@ -184,8 +184,30 @@ struct Response
     std::uint64_t serverRequestId = 0;
 };
 
+/**
+ * Bytes of the fixed request header: version u8, type u8, requestId
+ * u64, deadlineMs i64. A Schedule request's binary JobSet follows it.
+ */
+inline constexpr std::size_t kRequestHeaderBytes = 1 + 1 + 8 + 8;
+
 void encodeRequest(wire::ByteWriter &writer, const Request &request);
+
+/** decodeRequestHeader() then decodeRequestBody(). */
 bool decodeRequest(wire::ByteReader &reader, Request *out);
+
+/**
+ * Decode and check the fixed header: a supported version, a known
+ * type (Watch only from v2), the request id and the deadline. False +
+ * reader.error() on failure.
+ */
+bool decodeRequestHeader(wire::ByteReader &reader, Request *out);
+
+/**
+ * Decode what follows the header of a request of type out->type: for
+ * Schedule, the JobSet, which must be valid and carry exactly one job;
+ * nothing for the other types.
+ */
+bool decodeRequestBody(wire::ByteReader &reader, Request *out);
 
 /**
  * Encode @p response for a peer speaking @p peerVersion: the

@@ -5,10 +5,13 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
+#include <functional>
+#include <iterator>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sstream>
+#include <string_view>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -96,10 +99,94 @@ bindTcpListener(const std::string &spec, int backlog, int *portOut,
     return fd;
 }
 
+std::string_view
+asView(std::span<const std::uint8_t> bytes)
+{
+    return {reinterpret_cast<const char *>(bytes.data()), bytes.size()};
+}
+
+/** Add every counter of @p tier to @p out as @p prefix + its name. */
+void
+addPrefixed(CounterSet &out, const char *prefix, const CounterSet &tier)
+{
+    tier.forEach([&out, prefix](const std::string &name, std::uint64_t v) {
+        out.bump(std::string(prefix) + name, v);
+    });
+}
+
 } // namespace
+
+RequestMemo::RequestMemo(std::size_t capacity, std::size_t maxBytes)
+    : capacity_(capacity), maxBytes_(maxBytes)
+{}
+
+std::optional<std::uint64_t>
+RequestMemo::find(std::span<const std::uint8_t> body)
+{
+    std::size_t hash = std::hash<std::string_view>{}(asView(body));
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = index_.find(hash);
+    if (it == index_.end() || it->second->body != asView(body)) {
+        ++misses_;
+        return std::nullopt;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->key;
+}
+
+void
+RequestMemo::insert(std::span<const std::uint8_t> body, std::uint64_t key)
+{
+    if (capacity_ == 0 || body.size() > maxBytes_)
+        return;
+    // The copy and its list node are made before the lock, and the
+    // dropped entries are freed after it.
+    std::size_t hash = std::hash<std::string_view>{}(asView(body));
+    std::list<Entry> fresh;
+    fresh.push_back(Entry{hash, key, std::string(asView(body))});
+    std::list<Entry> dropped;
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto drop = [&](std::list<Entry>::iterator entry) {
+        bytes_ -= entry->body.size();
+        index_.erase(entry->hash);
+        dropped.splice(dropped.end(), lru_, entry);
+    };
+    if (auto it = index_.find(hash); it != index_.end())
+        drop(it->second);
+    bytes_ += body.size();
+    lru_.splice(lru_.begin(), fresh);
+    index_[hash] = lru_.begin();
+    while (lru_.size() > capacity_ || bytes_ > maxBytes_)
+        drop(std::prev(lru_.end()));
+}
+
+RequestMemo::Stats
+RequestMemo::stats() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    Stats s;
+    s.hits = hits_;
+    s.misses = misses_;
+    s.entries = lru_.size();
+    s.bytes = bytes_;
+    return s;
+}
+
+CounterSet
+toCounterSet(const RequestMemo::Stats &stats)
+{
+    CounterSet out;
+    out.bump("hits", stats.hits);
+    out.bump("misses", stats.misses);
+    out.bump("entries", stats.entries);
+    out.bump("bytes", stats.bytes);
+    return out;
+}
 
 ScheduleServer::ScheduleServer(const ServerConfig &config)
     : config_(config), pipeline_(pipelineConfig(config)),
+      memo_(config.cacheCapacity, kMaxFrameBytes),
       latencyAll_(
           &metrics_.streamingHistogram("serve.latency_us.all")),
       latencyWarm_(
@@ -356,7 +443,19 @@ ScheduleServer::connectionLoop(std::shared_ptr<Connection> conn)
         wire::ByteReader reader(
             std::span<const std::uint8_t>(frame.data(), frame.size()));
         Request request;
-        if (!decodeRequest(reader, &request)) {
+        std::span<const std::uint8_t> body;
+        std::optional<std::uint64_t> memoKey;
+        bool ok = decodeRequestHeader(reader, &request);
+        if (ok && request.type == RequestType::Schedule) {
+            // Body bytes that decoded before are not decoded again:
+            // the memo holds the job key they decoded to.
+            body = std::span<const std::uint8_t>(frame).subspan(
+                kRequestHeaderBytes);
+            memoKey = memo_.find(body);
+        }
+        if (ok && !memoKey.has_value())
+            ok = decodeRequestBody(reader, &request);
+        if (!ok) {
             metrics_.counters().bump("serve.bad_requests");
             Response response;
             response.requestId = request.requestId;
@@ -365,7 +464,7 @@ ScheduleServer::connectionLoop(std::shared_ptr<Connection> conn)
             sendResponse(conn, response);
             continue;
         }
-        handleRequest(conn, std::move(request), received,
+        handleRequest(conn, std::move(request), body, memoKey, received,
                       std::chrono::steady_clock::now());
     }
     // The connection is done (EOF, hostile frame, or drain): close the
@@ -397,11 +496,20 @@ elapsedUs(std::chrono::steady_clock::time_point from,
     return us < 0 ? 0u : static_cast<std::uint64_t>(us);
 }
 
+/** The single job of a decoded Schedule request. */
+ScheduleJob
+onlyJob(const JobSet &set)
+{
+    return std::move(jobSetToScheduleJobs(set).front());
+}
+
 } // namespace
 
 void
 ScheduleServer::handleRequest(
     const std::shared_ptr<Connection> &conn, Request &&request,
+    std::span<const std::uint8_t> body,
+    std::optional<std::uint64_t> memoKey,
     std::chrono::steady_clock::time_point received,
     std::chrono::steady_clock::time_point decoded)
 {
@@ -488,18 +596,37 @@ ScheduleServer::handleRequest(
         return;
     }
 
+    // The job key, computed at most once per request: from the memo
+    // when these exact body bytes decoded before, else from the one
+    // ScheduleJob this request builds, memoized for the next time.
+    auto probeStart = Clock::now();
+    std::optional<ScheduleJob> job;
+    std::uint64_t key = 0;
+    if (memoKey.has_value()) {
+        key = *memoKey;
+    } else {
+        job = onlyJob(request.jobs);
+        key = scheduleJobKey(*job);
+        memo_.insert(body, key);
+    }
+
     // Warm-hit fast path: probe the cache here on the reader thread
     // and reply without the pipeline queue hop. Exactness:
-    // lookupCached is the same code runOne dispatches through, so the
+    // probeCached is the same code runOne dispatches through, so the
     // result summary, status mapping, and counters are identical to
     // the dispatched path — only the hop is gone. A hit holds no
     // worker and is never rejected (it occupies an in-flight slot only
-    // for the microseconds of the probe and reply); a miss falls
-    // through and pays one redundant (cheap) cache probe.
-    ScheduleJob probe = jobSetToScheduleJobs(request.jobs).front();
-    if (std::optional<JobResult> hit = pipeline_.lookupCached(probe)) {
+    // for the microseconds of the probe and reply). The hit is the
+    // shared cached result: cacheHit and wallMs are set on the
+    // response, for this lookup.
+    if (std::shared_ptr<const JobResult> hit =
+            pipeline_.probeCached(key)) {
         metrics_.counters().bump("serve.fast_path_hits");
         summarizeResult(*hit, &response);
+        response.cacheHit = true;
+        response.wallMs = std::chrono::duration<double, std::milli>(
+                              Clock::now() - probeStart)
+                              .count();
         if (!hit->success) {
             metrics_.counters().bump("serve.errors");
             response.status = ResponseStatus::Error;
@@ -524,6 +651,16 @@ ScheduleServer::handleRequest(
         replyAndFinish(latencyOverload_);
         return;
     }
+    if (!job.has_value()) {
+        // A memo hit whose key missed the cache (a cancelled run is
+        // never cached; entries get evicted): decode the body now.
+        // These bytes decoded once already, so they decode again.
+        wire::ByteReader reader(body);
+        bool bodyDecoded = decodeRequestBody(reader, &request);
+        CS_ASSERT(bodyDecoded, "memoized request body failed to decode: ",
+                  reader.error());
+        job = onlyJob(request.jobs);
+    }
     // Admit phase: decode completion up to the dispatch decision
     // (fast-path probe included).
     phaseAdmit_->record(elapsedUs(decoded, Clock::now()));
@@ -542,11 +679,13 @@ ScheduleServer::handleRequest(
         watchDeadline(state);
     }
 
-    ScheduleJob job = jobSetToScheduleJobs(state->jobs).front();
-    job.abortFlag = &state->abort;
+    // The job runs against the machine the state keeps alive.
+    job->machine =
+        &state->jobs.machines[state->jobs.jobs.front().machineIndex];
+    job->abortFlag = &state->abort;
     state->dispatched = Clock::now();
     bool submitted = pipeline_.submit(
-        std::move(job), [this, state](JobResult result) {
+        std::move(*job), key, [this, state](JobResult result) {
             auto completed = Clock::now();
             Response reply;
             reply.requestId = state->requestId;
@@ -812,17 +951,12 @@ ScheduleServer::counterSnapshot() const
 {
     CounterSet out = metrics_.counters();
     out.merge(pipeline_.statsSnapshot());
-    auto addPrefixed = [&out](const char *prefix,
-                              const CounterSet &tier) {
-        tier.forEach(
-            [&out, prefix](const std::string &name, std::uint64_t v) {
-                out.bump(std::string(prefix) + name, v);
-            });
-    };
-    addPrefixed("cache.memory.", toCounterSet(pipeline_.cache().stats()));
-    addPrefixed("cache.disk.",
+    addPrefixed(out, "serve.request_memo.", toCounterSet(memo_.stats()));
+    addPrefixed(out, "cache.memory.",
+                toCounterSet(pipeline_.cache().stats()));
+    addPrefixed(out, "cache.disk.",
                 toCounterSet(pipeline_.cache().diskStats()));
-    addPrefixed("context.",
+    addPrefixed(out, "context.",
                 toCounterSet(pipeline_.contextCache().stats()));
     return out;
 }
@@ -851,6 +985,9 @@ ScheduleServer::statsJson() const
     PersistentScheduleCache::DiskStats disk =
         pipeline_.cache().diskStats();
     CounterSet pipelineStats = pipeline_.statsSnapshot();
+    CounterSet serveStats = metrics_.counters();
+    addPrefixed(serveStats, "serve.request_memo.",
+                toCounterSet(memo_.stats()));
 
     static const char *const kServeCounters[] = {
         "serve.requests",         "serve.schedule_requests",
@@ -862,6 +999,8 @@ ScheduleServer::statsJson() const
         "serve.stats_requests",   "serve.connections",
         "serve.frames_in",        "serve.frames_out",
         "serve.write_errors",     "serve.watch_requests",
+        "serve.request_memo.hits", "serve.request_memo.misses",
+        "serve.request_memo.entries", "serve.request_memo.bytes",
     };
     static const char *const kPipelineCounters[] = {
         "pipeline.jobs",      "pipeline.cache_hits",
@@ -871,7 +1010,7 @@ ScheduleServer::statsJson() const
 
     std::ostringstream os;
     os << "{\"serve\":";
-    writeCounterObject(os, metrics_.counters(), kServeCounters);
+    writeCounterObject(os, serveStats, kServeCounters);
     os << ",\"pipeline\":";
     writeCounterObject(os, pipelineStats, kPipelineCounters);
     os << ",\"cache\":{\"memory\":";

@@ -5,13 +5,15 @@
  * Architecture (DESIGN.md §5f): one accept thread, one reader thread
  * per connection, and a deadline watcher sit in front of the shared
  * SchedulingPipeline. A reader decodes length-prefixed frames
- * (serve/proto.hpp), applies admission control (a bounded in-flight
- * count — beyond it requests bounce immediately with
- * RejectedOverload rather than queueing without bound), and submits
- * admitted jobs to the pipeline; the completion callback writes the
- * framed response back under a per-connection write mutex, so many
- * requests can be in flight per connection and responses may
- * interleave in completion order (the echoed requestId pairs them).
+ * (serve/proto.hpp) — a Schedule body it has decoded before is looked
+ * up in the RequestMemo instead — answers warm hits itself, applies
+ * admission control (a bounded in-flight count — beyond it requests
+ * bounce immediately with RejectedOverload rather than queueing
+ * without bound), and submits admitted jobs to the pipeline; the
+ * completion callback writes the framed response back under a
+ * per-connection write mutex, so many requests can be in flight per
+ * connection and responses may interleave in completion order (the
+ * echoed requestId pairs them).
  *
  * Deadlines are cooperative: each admitted request carries an abort
  * flag plumbed down to the scheduler's budget checkpoints
@@ -36,10 +38,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "pipeline/pipeline.hpp"
@@ -94,6 +100,78 @@ struct ServerConfig
 };
 
 /**
+ * Request memo: the body of a Schedule request — the binary JobSet
+ * after the kRequestHeaderBytes header — mapped to the job key it
+ * decoded to, so a repeated request skips the decode, the ScheduleJob
+ * build and the key hash.
+ *
+ * Exact by construction: an entry is made only for a body that
+ * decoded, passed validateJobSet and carried exactly one job, and
+ * decoding is a function of the bytes alone, so a byte-equal body
+ * decodes to the same job and the same scheduleJobKey. Lookup hashes
+ * the bytes with std::hash<std::string_view> outside the lock, then
+ * compares them in full; a hash collision is a miss, never a wrong key.
+ *
+ * Bounded by entries and by stored body bytes; least recently used
+ * entries go first until both bounds hold. One mutex guards the
+ * entries and the counters.
+ */
+class RequestMemo
+{
+  public:
+    /** At most @p capacity entries (0 disables the memo) holding at
+     *  most @p maxBytes of body bytes in total. */
+    RequestMemo(std::size_t capacity, std::size_t maxBytes);
+
+    /** The key memoized for @p body, if any; counts a hit or a miss. */
+    std::optional<std::uint64_t> find(std::span<const std::uint8_t> body);
+
+    /**
+     * Keep a copy of @p body under @p key, replacing an entry with the
+     * same hash, then evict until both bounds hold. A body larger than
+     * the byte bound is not kept.
+     */
+    void insert(std::span<const std::uint8_t> body, std::uint64_t key);
+
+    struct Stats
+    {
+        std::uint64_t hits = 0;
+        std::uint64_t misses = 0;
+        std::size_t entries = 0;
+        std::size_t bytes = 0;
+    };
+
+    Stats stats() const;
+
+  private:
+    struct Entry
+    {
+        std::size_t hash = 0;
+        std::uint64_t key = 0;
+        std::string body;
+    };
+
+    const std::size_t capacity_;
+    const std::size_t maxBytes_;
+    mutable std::mutex mutex_;
+    /** Most recently used first. */
+    std::list<Entry> lru_;
+    /** Body hash -> its entry; one entry per hash. */
+    std::unordered_map<std::size_t, std::list<Entry>::iterator> index_;
+    std::size_t bytes_ = 0;
+    std::uint64_t hits_ = 0;
+    std::uint64_t misses_ = 0;
+};
+
+/** Canonical key order for emitting RequestMemo::Stats. */
+inline constexpr const char *kRequestMemoCounters[] = {
+    "hits", "misses", "entries", "bytes",
+};
+
+/** Stats as a CounterSet for the shared JSON emitters. */
+CounterSet toCounterSet(const RequestMemo::Stats &stats);
+
+/**
  * The daemon. start() binds and spawns the service threads; stop()
  * drains gracefully (idempotent, also run by the destructor). One
  * instance serves many connections, each carrying many concurrent
@@ -130,10 +208,11 @@ class ScheduleServer
 
     /**
      * One flat CounterSet across the whole server, for the telemetry
-     * sampler: the serve.* counters, the pipeline counters, and the
-     * cache tiers prefixed as cache.memory.* / cache.disk.* /
-     * context.* (the tiers share counter names, so the prefixes keep
-     * the merge collision-free).
+     * sampler: the serve.* counters, the request memo as
+     * serve.request_memo.*, the pipeline counters, and the cache tiers
+     * prefixed as cache.memory.* / cache.disk.* / context.* (the tiers
+     * share counter names, so the prefixes keep the merge
+     * collision-free).
      */
     CounterSet counterSnapshot() const;
 
@@ -171,7 +250,7 @@ class ScheduleServer
         std::uint8_t protocolVersion = kProtocolVersion;
         /** Server-allocated lifecycle id (v2 response tail). */
         std::uint64_t serverRequestId = 0;
-        JobSet jobs; ///< keeps the job's machine/kernel alive
+        JobSet jobs; ///< keeps the job's machine alive
         std::atomic<bool> abort{false};
         bool hasDeadline = false;
         std::chrono::steady_clock::time_point deadline{};
@@ -199,8 +278,16 @@ class ScheduleServer
     void connectionLoop(std::shared_ptr<Connection> conn);
     /** Join and drop finished connections; caller holds connMutex_. */
     void reapFinishedLocked();
+    /**
+     * Answer one decoded request. For Schedule, @p body is the
+     * request's JobSet bytes (valid for the call) and @p memoKey the
+     * key the memo held for them; with a memo key the header alone was
+     * decoded and request.jobs is still empty.
+     */
     void handleRequest(const std::shared_ptr<Connection> &conn,
                        Request &&request,
+                       std::span<const std::uint8_t> body,
+                       std::optional<std::uint64_t> memoKey,
                        std::chrono::steady_clock::time_point received,
                        std::chrono::steady_clock::time_point decoded);
     void deadlineLoop();
@@ -218,6 +305,9 @@ class ScheduleServer
 
     ServerConfig config_;
     SchedulingPipeline pipeline_;
+    /** Sized like the memory tier: cacheCapacity entries, at most
+     *  kMaxFrameBytes of bodies. */
+    RequestMemo memo_;
     MetricsRegistry metrics_;
 
     // Lifecycle histograms and the in-flight gauge, resolved once in

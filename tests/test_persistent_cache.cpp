@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -43,10 +44,10 @@ freshCacheDir(const std::string &name)
 }
 
 /** A real (small) schedule result to store: DCT on central. */
-const JobResult &
+const std::shared_ptr<const JobResult> &
 sampleResult()
 {
-    static const JobResult result = [] {
+    static const auto result = [] {
         setVerboseLogging(false);
         static Machine machine = makeCentral();
         ScheduleJob job;
@@ -57,16 +58,16 @@ sampleResult()
         job.pipelined = false;
         JobResult r = runScheduleJob(job);
         CS_ASSERT(r.success, "sample job failed");
-        return r;
+        return std::make_shared<const JobResult>(std::move(r));
     }();
     return result;
 }
 
 /** A second, distinct result (different listing) for last-wins tests. */
-const JobResult &
+const std::shared_ptr<const JobResult> &
 otherResult()
 {
-    static const JobResult result = [] {
+    static const auto result = [] {
         setVerboseLogging(false);
         static Machine machine = makeCentral();
         ScheduleJob job;
@@ -77,7 +78,7 @@ otherResult()
         job.pipelined = false;
         JobResult r = runScheduleJob(job);
         CS_ASSERT(r.success, "other job failed");
-        return r;
+        return std::make_shared<const JobResult>(std::move(r));
     }();
     return result;
 }
@@ -106,11 +107,11 @@ TEST(PersistentCache, SurvivesReopenWithWarmDiskHits)
     EXPECT_EQ(cache.diskStats().loadedEntries, 8u);
     EXPECT_EQ(cache.diskStats().truncatedBytes, 0u);
     for (std::uint64_t key = 1; key <= 8; ++key) {
-        std::optional<JobResult> hit = cache.lookup(key);
-        ASSERT_TRUE(hit.has_value()) << "key " << key;
-        EXPECT_EQ(hit->listing, sampleResult().listing);
-        EXPECT_EQ(hit->ii, sampleResult().ii);
-        EXPECT_EQ(hit->length, sampleResult().length);
+        std::shared_ptr<const JobResult> hit = cache.lookup(key);
+        ASSERT_NE(hit, nullptr) << "key " << key;
+        EXPECT_EQ(hit->listing, sampleResult()->listing);
+        EXPECT_EQ(hit->ii, sampleResult()->ii);
+        EXPECT_EQ(hit->length, sampleResult()->length);
     }
     PersistentScheduleCache::DiskStats disk = cache.diskStats();
     EXPECT_EQ(disk.hits, 8u);
@@ -118,7 +119,7 @@ TEST(PersistentCache, SurvivesReopenWithWarmDiskHits)
     EXPECT_EQ(disk.readErrors, 0u);
     // A disk hit promotes into the memory tier: the second lookup is
     // answered there and the disk counters do not move.
-    EXPECT_TRUE(cache.lookup(1).has_value());
+    EXPECT_NE(cache.lookup(1), nullptr);
     EXPECT_EQ(cache.diskStats().hits, 8u);
     EXPECT_EQ(cache.stats().hits, 1u);
 }
@@ -154,9 +155,9 @@ TEST(PersistentCache, TornTailTruncatedOnReopen)
     // The torn tail was cut off the file itself (self-heal), so the
     // next append starts from a clean record boundary.
     EXPECT_EQ(fs::file_size(files[0]), validBytes);
-    EXPECT_TRUE(cache.lookup(1).has_value());
-    EXPECT_TRUE(cache.lookup(2).has_value());
-    EXPECT_FALSE(cache.lookup(7).has_value());
+    EXPECT_NE(cache.lookup(1), nullptr);
+    EXPECT_NE(cache.lookup(2), nullptr);
+    EXPECT_EQ(cache.lookup(7), nullptr);
 }
 
 TEST(PersistentCache, CorruptRecordDetectedOnReopen)
@@ -192,7 +193,7 @@ TEST(PersistentCache, CorruptRecordDetectedOnReopen)
         PersistentScheduleCache::DiskStats disk = cache.diskStats();
         EXPECT_EQ(disk.footerLoads, 1u);
         EXPECT_EQ(disk.loadedEntries, 1u);
-        EXPECT_FALSE(cache.lookup(1).has_value());
+        EXPECT_EQ(cache.lookup(1), nullptr);
         EXPECT_EQ(cache.diskStats().readErrors, 1u);
     }
 
@@ -204,13 +205,13 @@ TEST(PersistentCache, CorruptRecordDetectedOnReopen)
     EXPECT_EQ(disk.scanLoads, 1u);
     EXPECT_EQ(disk.loadedEntries, 0u);
     EXPECT_GT(disk.truncatedBytes, 0u);
-    EXPECT_FALSE(cache.lookup(1).has_value());
+    EXPECT_EQ(cache.lookup(1), nullptr);
     // The cache stays writable after healing.
     cache.insert(2, sampleResult());
     EXPECT_EQ(cache.diskStats().writes, 1u);
     PersistentScheduleCache reopened(16, dir, 1);
     EXPECT_EQ(reopened.diskStats().loadedEntries, 1u);
-    EXPECT_TRUE(reopened.lookup(2).has_value());
+    EXPECT_NE(reopened.lookup(2), nullptr);
 }
 
 TEST(PersistentCache, CorruptionAfterOpenDegradesToMiss)
@@ -235,8 +236,8 @@ TEST(PersistentCache, CorruptionAfterOpenDegradesToMiss)
         f.seekp(static_cast<std::streamoff>(size / 2 + 1));
         f.write("\xff", 1);
     }
-    std::optional<JobResult> hit = cache.lookup(1);
-    if (hit.has_value()) {
+    std::shared_ptr<const JobResult> hit = cache.lookup(1);
+    if (hit != nullptr) {
         // The two overwritten bytes happened to match the original.
         SUCCEED();
         return;
@@ -295,9 +296,9 @@ TEST(PersistentCache, TornFooterFallsBackToScan)
     EXPECT_EQ(disk.loadedEntries, 3u);
     EXPECT_GT(disk.truncatedBytes, 0u); // the torn footer was cut off
     for (std::uint64_t key = 1; key <= 3; ++key) {
-        std::optional<JobResult> hit = cache.lookup(key);
-        ASSERT_TRUE(hit.has_value()) << "key " << key;
-        EXPECT_EQ(hit->listing, sampleResult().listing);
+        std::shared_ptr<const JobResult> hit = cache.lookup(key);
+        ASSERT_NE(hit, nullptr) << "key " << key;
+        EXPECT_EQ(hit->listing, sampleResult()->listing);
     }
     EXPECT_EQ(cache.diskStats().readErrors, 0u);
 }
@@ -333,12 +334,12 @@ TEST(PersistentCache, FlippedFooterChecksumFallsBackToScan)
         EXPECT_EQ(disk.scanLoads, 1u);
         EXPECT_EQ(disk.loadedEntries, 2u);
         EXPECT_GT(disk.truncatedBytes, 0u);
-        std::optional<JobResult> one = cache.lookup(1);
-        std::optional<JobResult> two = cache.lookup(2);
-        ASSERT_TRUE(one.has_value());
-        ASSERT_TRUE(two.has_value());
-        EXPECT_EQ(one->listing, sampleResult().listing);
-        EXPECT_EQ(two->listing, otherResult().listing);
+        std::shared_ptr<const JobResult> one = cache.lookup(1);
+        std::shared_ptr<const JobResult> two = cache.lookup(2);
+        ASSERT_NE(one, nullptr);
+        ASSERT_NE(two, nullptr);
+        EXPECT_EQ(one->listing, sampleResult()->listing);
+        EXPECT_EQ(two->listing, otherResult()->listing);
     } // clean close writes a fresh, valid footer
 
     PersistentScheduleCache reopened(16, dir, 1);
@@ -378,9 +379,9 @@ TEST(PersistentCache, FooterEntryPastDataEndFallsBackToScan)
     EXPECT_EQ(disk.footerLoads, 0u);
     EXPECT_EQ(disk.scanLoads, 1u);
     EXPECT_EQ(disk.loadedEntries, 2u);
-    EXPECT_TRUE(cache.lookup(1).has_value());
-    EXPECT_TRUE(cache.lookup(2).has_value());
-    EXPECT_FALSE(cache.lookup(99).has_value());
+    EXPECT_NE(cache.lookup(1), nullptr);
+    EXPECT_NE(cache.lookup(2), nullptr);
+    EXPECT_EQ(cache.lookup(99), nullptr);
     EXPECT_EQ(cache.diskStats().readErrors, 0u);
 }
 
@@ -406,8 +407,8 @@ TEST(PersistentCache, AppendAfterCleanCloseKeepsEveryRecord)
         PersistentScheduleCache cache(16, dir, 1);
         EXPECT_EQ(cache.diskStats().footerLoads, 1u);
         EXPECT_EQ(cache.diskStats().loadedEntries, 2u);
-        EXPECT_TRUE(cache.lookup(1).has_value());
-        EXPECT_TRUE(cache.lookup(2).has_value());
+        EXPECT_NE(cache.lookup(1), nullptr);
+        EXPECT_NE(cache.lookup(2), nullptr);
     }
 
     // A crashed foreign writer that appended past the footer without
@@ -415,7 +416,7 @@ TEST(PersistentCache, AppendAfterCleanCloseKeepsEveryRecord)
     // footer and keep both the old and the appended records.
     std::vector<fs::path> files = shardFiles(dir);
     ASSERT_EQ(files.size(), 1u);
-    appendBytes(files[0], rawRecord(3, otherResult()));
+    appendBytes(files[0], rawRecord(3, *otherResult()));
 
     PersistentScheduleCache cache(16, dir, 1);
     PersistentScheduleCache::DiskStats disk = cache.diskStats();
@@ -423,13 +424,13 @@ TEST(PersistentCache, AppendAfterCleanCloseKeepsEveryRecord)
     EXPECT_EQ(disk.scanLoads, 1u);
     EXPECT_EQ(disk.loadedEntries, 3u);
     EXPECT_EQ(disk.truncatedBytes, 0u); // nothing was lost
-    std::optional<JobResult> one = cache.lookup(1);
-    std::optional<JobResult> three = cache.lookup(3);
-    ASSERT_TRUE(one.has_value());
-    ASSERT_TRUE(cache.lookup(2).has_value());
-    ASSERT_TRUE(three.has_value());
-    EXPECT_EQ(one->listing, sampleResult().listing);
-    EXPECT_EQ(three->listing, otherResult().listing);
+    std::shared_ptr<const JobResult> one = cache.lookup(1);
+    std::shared_ptr<const JobResult> three = cache.lookup(3);
+    ASSERT_NE(one, nullptr);
+    ASSERT_NE(cache.lookup(2), nullptr);
+    ASSERT_NE(three, nullptr);
+    EXPECT_EQ(one->listing, sampleResult()->listing);
+    EXPECT_EQ(three->listing, otherResult()->listing);
 }
 
 TEST(PersistentCache, StripIndexFootersForcesScanThenHeals)
@@ -453,9 +454,9 @@ TEST(PersistentCache, StripIndexFootersForcesScanThenHeals)
         EXPECT_EQ(disk.loadedEntries, 3u);
         EXPECT_EQ(disk.truncatedBytes, 0u);
         for (std::uint64_t key = 1; key <= 3; ++key) {
-            std::optional<JobResult> hit = cache.lookup(key);
-            ASSERT_TRUE(hit.has_value()) << "key " << key;
-            EXPECT_EQ(hit->listing, sampleResult().listing);
+            std::shared_ptr<const JobResult> hit = cache.lookup(key);
+            ASSERT_NE(hit, nullptr) << "key " << key;
+            EXPECT_EQ(hit->listing, sampleResult()->listing);
         }
     } // the clean close restores both footers
 
@@ -474,9 +475,9 @@ TEST(PersistentCache, DuplicateKeysKeepLastRecord)
         cache.insert(5, otherResult()); // re-insertion appends
     }
     PersistentScheduleCache cache(16, dir, 2);
-    std::optional<JobResult> hit = cache.lookup(5);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->listing, otherResult().listing);
+    std::shared_ptr<const JobResult> hit = cache.lookup(5);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->listing, otherResult()->listing);
 }
 
 TEST(PersistentCache, MemoryOnlyWhenDirectoryEmpty)
@@ -484,7 +485,7 @@ TEST(PersistentCache, MemoryOnlyWhenDirectoryEmpty)
     PersistentScheduleCache cache(4, "");
     EXPECT_FALSE(cache.persistent());
     cache.insert(1, sampleResult());
-    EXPECT_TRUE(cache.lookup(1).has_value());
+    EXPECT_NE(cache.lookup(1), nullptr);
     PersistentScheduleCache::DiskStats disk = cache.diskStats();
     EXPECT_EQ(disk.writes, 0u);
     EXPECT_EQ(disk.hits + disk.misses, 0u);
@@ -494,7 +495,7 @@ TEST(PersistentCache, ZeroCapacityDisablesCaching)
 {
     PersistentScheduleCache cache(0, "");
     cache.insert(1, sampleResult());
-    EXPECT_FALSE(cache.lookup(1).has_value());
+    EXPECT_EQ(cache.lookup(1), nullptr);
 }
 
 TEST(PersistentCache, WarmRestartServesBatchFromDisk)
@@ -599,7 +600,7 @@ TEST(CacheCounterEmitters, SharedWritersMatchHandCounts)
 
 TEST(ResultIo, RoundTripPreservesEveryField)
 {
-    const JobResult &original = sampleResult();
+    const JobResult &original = *sampleResult();
     std::vector<std::uint8_t> bytes;
     wire::ByteWriter writer(bytes);
     encodeJobResult(writer, original);
@@ -627,7 +628,7 @@ TEST(ResultIo, TruncatedAndFlippedRecordsNeverCrash)
 {
     std::vector<std::uint8_t> bytes;
     wire::ByteWriter writer(bytes);
-    encodeJobResult(writer, sampleResult());
+    encodeJobResult(writer, *sampleResult());
 
     for (std::size_t length = 0; length < bytes.size();
          length += 1 + bytes.size() / 256) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -187,20 +188,105 @@ TEST(Pipeline, RepeatedBatchHitRateAtLeastNinetyPercent)
 TEST(ScheduleCache, LruEvictionBoundsEntries)
 {
     ScheduleCache cache(2);
-    JobResult dummy;
+    auto dummy = std::make_shared<const JobResult>();
     cache.insert(1, dummy);
     cache.insert(2, dummy);
-    EXPECT_TRUE(cache.lookup(1).has_value()); // 1 becomes most-recent
-    cache.insert(3, dummy);                   // evicts 2
-    EXPECT_TRUE(cache.lookup(1).has_value());
-    EXPECT_FALSE(cache.lookup(2).has_value());
-    EXPECT_TRUE(cache.lookup(3).has_value());
+    EXPECT_NE(cache.lookup(1), nullptr); // 1 becomes most-recent
+    cache.insert(3, dummy);              // evicts 2
+    EXPECT_NE(cache.lookup(1), nullptr);
+    EXPECT_EQ(cache.lookup(2), nullptr);
+    EXPECT_NE(cache.lookup(3), nullptr);
 
     ScheduleCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.entries, 2u);
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.hits, 3u);
     EXPECT_EQ(stats.misses, 1u);
+}
+
+/** A stand-in result whose content says which key and version it is. */
+std::shared_ptr<const JobResult>
+taggedResult(std::uint64_t key, int version)
+{
+    auto result = std::make_shared<JobResult>();
+    result->success = true;
+    result->ii = static_cast<int>(key);
+    result->length = version;
+    result->listing = "key " + std::to_string(key) + " version " +
+                      std::to_string(version);
+    return result;
+}
+
+TEST(ScheduleCache, HitOutlivesEviction)
+{
+    // A hit shares the stored result instead of copying it, so it must
+    // stay valid and unchanged after its entry is evicted and after its
+    // key is stored again, as a new entry and then over that entry.
+    ScheduleCache cache(1);
+    cache.insert(1, taggedResult(1, 1));
+    std::shared_ptr<const JobResult> held = cache.lookup(1);
+    ASSERT_NE(held, nullptr);
+    EXPECT_EQ(cache.lookup(1).get(), held.get()); // shared, not copied
+
+    cache.insert(2, taggedResult(2, 1)); // evicts key 1
+    EXPECT_EQ(cache.lookup(1), nullptr);
+    cache.insert(1, taggedResult(1, 2)); // key 1 again, evicting 2
+    cache.insert(1, taggedResult(1, 3)); // overwrites that entry
+
+    std::shared_ptr<const JobResult> latest = cache.lookup(1);
+    ASSERT_NE(latest, nullptr);
+    EXPECT_EQ(latest->listing, "key 1 version 3");
+    EXPECT_EQ(held->listing, "key 1 version 1");
+    EXPECT_EQ(held->ii, 1);
+    EXPECT_EQ(held->length, 1);
+    EXPECT_EQ(cache.stats().evictions, 2u);
+}
+
+TEST(ScheduleCache, ConcurrentReadersAndWriterSeeWholeResults)
+{
+    // Four readers probe while one writer keeps inserting, evicting and
+    // overwriting: every hit must be a whole result for the key asked
+    // (never another key's, never a torn one), and every lookup counts
+    // exactly once. The TSan build checks the locking.
+    constexpr std::uint64_t kKeys = 24;
+    constexpr int kLookupsPerReader = 20000;
+    ScheduleCache cache(8);
+    std::atomic<bool> stop{false};
+    std::atomic<std::uint64_t> badHits{0};
+    std::atomic<std::uint64_t> lookups{0};
+
+    std::thread writer([&] {
+        for (int round = 0; !stop.load(); ++round) {
+            for (std::uint64_t key = 0; key < kKeys; ++key)
+                cache.insert(key, taggedResult(key, round));
+        }
+    });
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 4; ++r) {
+        readers.emplace_back([&, r] {
+            for (int i = 0; i < kLookupsPerReader; ++i) {
+                std::uint64_t key =
+                    static_cast<std::uint64_t>(i * 7 + r) % kKeys;
+                std::shared_ptr<const JobResult> hit = cache.lookup(key);
+                lookups.fetch_add(1);
+                if (hit != nullptr &&
+                    (hit->ii != static_cast<int>(key) ||
+                     hit->listing !=
+                         "key " + std::to_string(key) + " version " +
+                             std::to_string(hit->length)))
+                    badHits.fetch_add(1);
+            }
+        });
+    }
+    for (std::thread &reader : readers)
+        reader.join();
+    stop.store(true);
+    writer.join();
+
+    EXPECT_EQ(badHits.load(), 0u);
+    ScheduleCache::Stats stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+    EXPECT_LE(stats.entries, 8u);
 }
 
 TEST(Pipeline, ContentKeyIgnoresDebugNames)

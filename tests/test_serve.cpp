@@ -776,6 +776,338 @@ TEST(Serve, FastPathMatchesDispatchedWarmResponses)
     server.stop();
 }
 
+// ---------------------------------------------------------------------
+// Request memo: repeated Schedule bodies skip the decode and the key.
+// ---------------------------------------------------------------------
+
+/** A Schedule request for @p set, framed as a v@p version client would. */
+std::vector<std::uint8_t>
+scheduleFrame(const serve::JobSet &set, std::uint8_t version,
+              std::uint64_t requestId, std::int64_t deadlineMs = 0)
+{
+    serve::Request request;
+    request.protocolVersion = version;
+    request.type = serve::RequestType::Schedule;
+    request.requestId = requestId;
+    request.deadlineMs = deadlineMs;
+    request.jobs = set;
+    std::vector<std::uint8_t> payload;
+    wire::ByteWriter writer(payload);
+    serve::encodeRequest(writer, request);
+    return payload;
+}
+
+/** Send one raw frame on a fresh UDS connection; the raw reply frame. */
+std::vector<std::uint8_t>
+rawRoundTrip(const std::string &socketPath,
+             const std::vector<std::uint8_t> &frame)
+{
+    std::vector<std::uint8_t> reply;
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_GE(fd, 0);
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, socketPath.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof addr),
+              0);
+    EXPECT_TRUE(serve::writeFrame(fd, frame));
+    EXPECT_TRUE(serve::readFrame(fd, &reply));
+    ::close(fd);
+    return reply;
+}
+
+serve::Response
+decodeReply(const std::vector<std::uint8_t> &reply)
+{
+    serve::Response response;
+    wire::ByteReader reader(
+        std::span<const std::uint8_t>(reply.data(), reply.size()));
+    EXPECT_TRUE(serve::decodeResponse(reader, &response))
+        << reader.error();
+    return response;
+}
+
+std::uint64_t
+memoCounter(const serve::ScheduleServer &server, const std::string &name)
+{
+    return server.counterSnapshot().get("serve.request_memo." + name);
+}
+
+TEST(Serve, RequestMemoServesV1AndV2ClientsAlike)
+{
+    setVerboseLogging(false);
+    serve::ServerConfig config = baseConfig(testSocketPath("memo_v1"));
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+    serve::JobSet set = oneJobSet("FIR-INT");
+    const std::string expected = localListing(set);
+
+    // The v2 request decodes in full and is memoized; the v1 request
+    // carries the same body behind another header and id.
+    std::vector<std::uint8_t> v2Reply = rawRoundTrip(
+        config.socketPath,
+        scheduleFrame(set, serve::kProtocolVersion, 101));
+    EXPECT_EQ(memoCounter(server, "misses"), 1u);
+    EXPECT_EQ(memoCounter(server, "hits"), 0u);
+    EXPECT_EQ(memoCounter(server, "entries"), 1u);
+    std::vector<std::uint8_t> v1Reply =
+        rawRoundTrip(config.socketPath, scheduleFrame(set, 1, 102));
+    EXPECT_EQ(memoCounter(server, "hits"), 1u);
+    EXPECT_EQ(memoCounter(server, "misses"), 1u);
+    EXPECT_EQ(server.metrics().counters().get("serve.fast_path_hits"),
+              1u);
+
+    serve::Response v2 = decodeReply(v2Reply);
+    serve::Response v1 = decodeReply(v1Reply);
+    ASSERT_EQ(v2.status, serve::ResponseStatus::Ok) << v2.message;
+    ASSERT_EQ(v1.status, serve::ResponseStatus::Ok) << v1.message;
+    EXPECT_EQ(v2.requestId, 101u);
+    EXPECT_EQ(v1.requestId, 102u);
+    EXPECT_FALSE(v2.cacheHit);
+    EXPECT_TRUE(v1.cacheHit);
+    EXPECT_EQ(v2.listing, expected);
+    EXPECT_EQ(v1.listing, expected);
+    EXPECT_EQ(v1.success, v2.success);
+    EXPECT_EQ(v1.ii, v2.ii);
+    EXPECT_EQ(v1.length, v2.length);
+    EXPECT_EQ(v1.resMii, v2.resMii);
+    EXPECT_EQ(v1.recMii, v2.recMii);
+    EXPECT_EQ(v1.copiesInserted, v2.copiesInserted);
+    EXPECT_EQ(v1.verifierErrors, v2.verifierErrors);
+    // The v1 reply has no serverRequestId tail.
+    EXPECT_GT(v2.serverRequestId, 0u);
+    EXPECT_EQ(v1.serverRequestId, 0u);
+    EXPECT_EQ(v1Reply.size() + 8, v2Reply.size());
+
+    std::string statsJson = server.statsJson();
+    EXPECT_NE(statsJson.find("\"serve.request_memo.hits\":1"),
+              std::string::npos)
+        << statsJson;
+    server.stop();
+}
+
+TEST(Serve, RequestMemoMissesOnAnyChangedByte)
+{
+    setVerboseLogging(false);
+    serve::ServerConfig config =
+        baseConfig(testSocketPath("memo_bytes"));
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+    serve::ScheduleClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+
+    serve::JobSet set = oneJobSet("DCT");
+    serve::Response cold;
+    ASSERT_TRUE(client.schedule(set, 0, &cold, &error)) << error;
+    ASSERT_EQ(cold.status, serve::ResponseStatus::Ok);
+
+    // Another label is another body, so the memo misses; the label is
+    // not part of the job key, so the cache hits.
+    serve::JobSet relabelled = set;
+    relabelled.jobs[0].label = "DCT, relabelled";
+    serve::Response relabelledReply;
+    ASSERT_TRUE(client.schedule(relabelled, 0, &relabelledReply, &error))
+        << error;
+    ASSERT_EQ(relabelledReply.status, serve::ResponseStatus::Ok);
+    EXPECT_EQ(memoCounter(server, "hits"), 0u);
+    EXPECT_EQ(memoCounter(server, "misses"), 2u);
+    EXPECT_TRUE(relabelledReply.cacheHit);
+    EXPECT_EQ(relabelledReply.listing, cold.listing);
+
+    // One option changed: a memo miss and a new job, scheduled.
+    serve::JobSet changed = oneJobSet("DCT", 1024);
+    serve::Response changedReply;
+    ASSERT_TRUE(client.schedule(changed, 0, &changedReply, &error))
+        << error;
+    ASSERT_EQ(changedReply.status, serve::ResponseStatus::Ok);
+    EXPECT_EQ(memoCounter(server, "hits"), 0u);
+    EXPECT_EQ(memoCounter(server, "misses"), 3u);
+    EXPECT_EQ(memoCounter(server, "entries"), 3u);
+    EXPECT_FALSE(changedReply.cacheHit);
+    EXPECT_EQ(changedReply.listing, localListing(changed));
+    EXPECT_EQ(server.pipeline().statsSnapshot().get(
+                  "pipeline.cache_misses"),
+              2u);
+    server.stop();
+}
+
+TEST(Serve, RequestMemoHitAfterPreemptionSchedulesInFull)
+{
+    // A preempted run is never cached, so the same body sent again
+    // hits the memo and misses the cache: that path must decode the
+    // body it skipped and schedule the job in full.
+    setVerboseLogging(false);
+    serve::ServerConfig config =
+        baseConfig(testSocketPath("memo_preempt"));
+    config.workerThreads = 1;
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+
+    // Hold the only worker with Sort pipelined on the distributed
+    // machine (seconds of work) until its own deadline preempts it.
+    serve::JobSet blocker;
+    blocker.machines.push_back(makeDistributed());
+    blocker.kernels.push_back(kernelByName("Sort").build());
+    serve::JobDescription blockerJob;
+    blockerJob.label = "Sort";
+    blockerJob.pipelined = true;
+    blocker.jobs.push_back(std::move(blockerJob));
+    serve::Response blockerReply;
+    std::thread blockerThread([&] {
+        serve::ScheduleClient client;
+        std::string error;
+        if (client.connect(config.socketPath, &error))
+            client.schedule(blocker, 200, &blockerReply, &error);
+    });
+    auto waitStart = std::chrono::steady_clock::now();
+    while (server.pipeline().inflightDepth() == 0 &&
+           std::chrono::steady_clock::now() - waitStart <
+               std::chrono::seconds(10))
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(server.pipeline().inflightDepth(), 1u);
+
+    // Queued behind the blocker well past its 1 ms deadline, the job
+    // is cancelled before it places an operation.
+    serve::JobSet set = oneJobSet("DCT");
+    serve::ScheduleClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+    serve::Response preempted;
+    ASSERT_TRUE(client.schedule(set, 1, &preempted, &error)) << error;
+    blockerThread.join();
+    EXPECT_EQ(blockerReply.status, serve::ResponseStatus::DeadlineExceeded);
+    ASSERT_EQ(preempted.status, serve::ResponseStatus::DeadlineExceeded);
+    EXPECT_TRUE(preempted.listing.empty());
+    EXPECT_EQ(memoCounter(server, "misses"), 2u);
+    EXPECT_EQ(memoCounter(server, "hits"), 0u);
+
+    // The deadline is in the header, so the body is the same bytes.
+    serve::Response full;
+    ASSERT_TRUE(client.schedule(set, 0, &full, &error)) << error;
+    EXPECT_EQ(memoCounter(server, "hits"), 1u);
+    ASSERT_EQ(full.status, serve::ResponseStatus::Ok) << full.message;
+    EXPECT_FALSE(full.cacheHit);
+    EXPECT_EQ(full.listing, localListing(set));
+    EXPECT_EQ(server.metrics().counters().get("serve.fast_path_misses"),
+              3u);
+    EXPECT_EQ(server.metrics().counters().get("serve.deadline_preempted"),
+              2u);
+    server.stop();
+}
+
+TEST(Serve, RequestMemoKeepsHeaderChecks)
+{
+    setVerboseLogging(false);
+    serve::ServerConfig config =
+        baseConfig(testSocketPath("memo_header"));
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+    serve::JobSet set = oneJobSet("DCT");
+    std::vector<std::uint8_t> frame =
+        scheduleFrame(set, serve::kProtocolVersion, 7);
+    ASSERT_EQ(decodeReply(rawRoundTrip(config.socketPath, frame)).status,
+              serve::ResponseStatus::Ok);
+    ASSERT_EQ(memoCounter(server, "entries"), 1u);
+
+    // The memoized body behind a version the server does not speak.
+    std::vector<std::uint8_t> future = frame;
+    future[0] = serve::kProtocolVersion + 1;
+    serve::Response rejected =
+        decodeReply(rawRoundTrip(config.socketPath, future));
+    EXPECT_EQ(rejected.status, serve::ResponseStatus::BadRequest);
+    EXPECT_NE(rejected.message.find("unsupported protocol version"),
+              std::string::npos)
+        << rejected.message;
+    // ... and behind a type byte that is no request type.
+    std::vector<std::uint8_t> unknown = frame;
+    unknown[1] = 0x7f;
+    EXPECT_EQ(decodeReply(rawRoundTrip(config.socketPath, unknown)).status,
+              serve::ResponseStatus::BadRequest);
+    EXPECT_EQ(server.metrics().counters().get("serve.bad_requests"), 2u);
+    EXPECT_EQ(memoCounter(server, "hits"), 0u);
+    server.stop();
+}
+
+TEST(Serve, RequestMemoHoldsAtMostCacheCapacityEntries)
+{
+    setVerboseLogging(false);
+    serve::ServerConfig config = baseConfig(testSocketPath("memo_cap"));
+    config.cacheCapacity = 2;
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+    serve::ScheduleClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+
+    const char *names[] = {"DCT", "FFT-U4", "FIR-INT",
+                           "Triangle Transform"};
+    std::vector<std::size_t> bodyBytes;
+    for (const char *name : names) {
+        serve::JobSet set = oneJobSet(name);
+        serve::Response response;
+        ASSERT_TRUE(client.schedule(set, 0, &response, &error)) << error;
+        ASSERT_EQ(response.status, serve::ResponseStatus::Ok);
+        EXPECT_LE(memoCounter(server, "entries"), 2u);
+        bodyBytes.push_back(scheduleFrame(set, serve::kProtocolVersion, 1)
+                                .size() -
+                            serve::kRequestHeaderBytes);
+    }
+    EXPECT_EQ(memoCounter(server, "entries"), 2u);
+    EXPECT_EQ(memoCounter(server, "bytes"), bodyBytes[2] + bodyBytes[3]);
+
+    // The newest body is remembered, the oldest was evicted.
+    serve::Response response;
+    ASSERT_TRUE(client.schedule(oneJobSet(names[3]), 0, &response, &error))
+        << error;
+    EXPECT_EQ(memoCounter(server, "hits"), 1u);
+    ASSERT_TRUE(client.schedule(oneJobSet(names[0]), 0, &response, &error))
+        << error;
+    EXPECT_EQ(memoCounter(server, "hits"), 1u);
+    EXPECT_EQ(memoCounter(server, "misses"), 5u);
+    server.stop();
+}
+
+TEST(ServeRequestMemo, ByteBoundEvictsLeastRecentlyUsed)
+{
+    auto body = [](std::size_t size, std::uint8_t fill) {
+        return std::vector<std::uint8_t>(size, fill);
+    };
+    serve::RequestMemo memo(8, 100);
+    std::vector<std::uint8_t> a = body(60, 'a'), b = body(30, 'b'),
+                              c = body(30, 'c');
+    memo.insert(a, 1);
+    memo.insert(b, 2);
+    EXPECT_EQ(memo.stats().bytes, 90u);
+    EXPECT_EQ(memo.find(a), std::optional<std::uint64_t>(1));
+    memo.insert(c, 3); // 120 bytes: b is the least recently used
+    EXPECT_EQ(memo.stats().entries, 2u);
+    EXPECT_EQ(memo.stats().bytes, 90u);
+    EXPECT_EQ(memo.find(b), std::nullopt);
+    EXPECT_EQ(memo.find(c), std::optional<std::uint64_t>(3));
+    memo.insert(body(50, 'd'), 4); // 140 bytes: a goes
+    EXPECT_EQ(memo.find(a), std::nullopt);
+    EXPECT_EQ(memo.stats().bytes, 80u);
+
+    // A body above the byte bound is not kept, and evicts nothing.
+    memo.insert(body(101, 'e'), 5);
+    EXPECT_EQ(memo.find(body(101, 'e')), std::nullopt);
+    EXPECT_EQ(memo.stats().entries, 2u);
+
+    // Equal bytes find the key; one changed byte does not.
+    std::vector<std::uint8_t> almost = c;
+    almost.back() = 'x';
+    EXPECT_EQ(memo.find(almost), std::nullopt);
+    EXPECT_EQ(memo.find(c), std::optional<std::uint64_t>(3));
+
+    serve::RequestMemo disabled(0, 100);
+    disabled.insert(a, 1);
+    EXPECT_EQ(disabled.find(a), std::nullopt);
+    EXPECT_EQ(disabled.stats().entries, 0u);
+}
+
 TEST(Serve, TwoDaemonsShareCacheDirectoryViaFlock)
 {
     setVerboseLogging(false);
