@@ -70,26 +70,32 @@ main()
                            "distributed machine (plain schedules)");
     Machine dist = makeDistributed();
     TextTable table({"Kernel", "copies", "reused", "retargets",
-                     "perm backtracks", "budget exhausted"});
+                     "perm backtracks", "attempt budget", "perm budget"});
     for (const KernelSpec &spec : allKernels()) {
         Kernel kernel = spec.build();
         ScheduleResult result =
             scheduleBlock(kernel, BlockId(0), dist);
         CS_ASSERT(result.success, "failed on ", spec.name);
-        const CounterSet &stats = result.stats;
+        auto count = [&result](CounterId id) {
+            return std::to_string(result.stats.get(id));
+        };
         table.addRow({
             spec.name,
             std::to_string(result.kernel.numOperations() -
                            result.kernel.numOriginalOperations()),
-            std::to_string(stats.get("copies_reused")),
-            std::to_string(stats.get("stub_retargets")),
-            std::to_string(stats.get("perm_backtracks")),
-            std::to_string(stats.get("attempt_budget_exhausted")),
+            count(counter("copies_reused")),
+            count(counter("stub_retargets")),
+            count(counter("perm_backtracks")),
+            count(counter("attempt_budget_exhausted")),
+            count(counter("perm_budget_exhausted")),
         });
     }
     table.print(std::cout);
     std::cout << "\nPaper Section 5: communication scheduling needed "
-                 "no backtracking on the\ndistributed architecture; "
-                 "the analogue here is zero exhausted budgets.\n";
+                 "no backtracking on the\ndistributed architecture. The "
+                 "analogue here is the attempt budget column\n(operations "
+                 "that gave up placing); the stub-permutation search itself "
+                 "backtracks\nand can exhaust its own budget (perm budget "
+                 "column).\n";
     return 0;
 }

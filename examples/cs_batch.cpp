@@ -356,28 +356,15 @@ main(int argc, char **argv)
 
     // Machine-readable one-line summary (the bench suite's JSON idiom,
     // counter groups emitted through the shared metrics writer).
-    static const char *const kSchedulerCounters[] = {
-        "ops_scheduled",
-        "copies_inserted",
-    };
-    static const char *const kIiSearchCounters[] = {
-        "workers",
-        "attempts_launched",
-        "attempts_wasted",
-        "attempts_cancelled",
-        "cancel_latency_us",
-    };
-    static const char *const kSearchCounters[] = {
-        "dfs_nodes",
-    };
-    CounterSet iiStats;
-    iiStats.bump("workers",
-                 cs::PipelineConfig::resolvedIiWorkers(args.iiWorkers));
-    for (const char *name : {"attempts_launched", "attempts_wasted",
-                             "attempts_cancelled", "cancel_latency_us"}) {
-        iiStats.bump(name,
-                     stats.get(std::string("ii_search.") + name));
-    }
+    static constexpr auto kPipelineCounters = counters(
+        "pipeline.",
+        {"jobs", "cache_hits", "cache_misses", "dedup_joins", "failures"});
+    static constexpr auto kIiSearchCounters = counters(
+        "ii_search.", {"attempts_launched", "attempts_wasted",
+                       "attempts_cancelled", "cancel_latency_us"});
+    CounterSet tiers = pipeline.cache().diskCounters();
+    cache.addTo(tiers);
+    pipeline.contextCache().stats().addTo(tiers);
     std::cout << "{\"batch\":{\"jobs\":" << results.size() * args.repeat
               << ",\"unique_jobs\":" << results.size()
               << ",\"threads\":" << pipeline.numThreads()
@@ -390,47 +377,37 @@ main(int argc, char **argv)
               << ",\"cache\":";
     // Counter groups ride the shared metrics emitter rather than
     // hand-rolled JSON, so every front-end prints the same shape.
-    writeCounterObject(std::cout, toCounterSet(cache),
-                       kMemoryCacheCounters);
+    writeCounterObject(std::cout, tiers, counterGroup("cache.memory."),
+                       "cache.memory.");
     if (pipeline.cache().persistent()) {
         std::cout << ",\"cache_disk\":";
-        writeCounterObject(std::cout, toCounterSet(disk),
-                           kDiskCacheCounters);
+        writeCounterObject(std::cout, tiers, counterGroup("cache.disk."),
+                           "cache.disk.");
     }
     std::cout << ",\"context_cache\":";
-    writeCounterObject(std::cout,
-                       toCounterSet(pipeline.contextCache().stats()),
-                       kContextCacheCounters);
-    static const char *const kPipelineCounters[] = {
-        "jobs",
-        "cache_hits",
-        "cache_misses",
-        "dedup_joins",
-        "failures",
-    };
-    CounterSet pipelineStats;
-    for (const char *name : kPipelineCounters)
-        pipelineStats.bump(name,
-                           stats.get(std::string("pipeline.") + name));
+    writeCounterObject(std::cout, tiers, counterGroup("context."),
+                       "context.");
     std::cout << ",\"pipeline\":";
-    writeCounterObject(std::cout, pipelineStats, kPipelineCounters);
+    writeCounterObject(std::cout, stats, kPipelineCounters, "pipeline.");
     std::cout << ",\"scheduler\":";
-    writeCounterObject(std::cout, stats, kSchedulerCounters);
-    std::cout << ",\"ii_search\":";
-    writeCounterObject(std::cout, iiStats, kIiSearchCounters);
-    std::cout << ",\"search\":";
-    writeCounterObject(std::cout, stats, kSearchCounters);
+    writeCounterObject(std::cout, stats,
+                       counters({}, {"ops_scheduled", "copies_inserted"}));
+    std::cout << ",\"ii_search\":{";
+    writeCounterFields(std::cout, stats, kIiSearchCounters, "ii_search.");
+    std::cout << ",\"workers\":"
+              << cs::PipelineConfig::resolvedIiWorkers(args.iiWorkers)
+              << "},\"search\":";
+    writeCounterObject(std::cout, stats, counters({}, {"dfs_nodes"}));
     std::cout << "}}\n";
 
     if (!args.metricsFile.empty()) {
-        metrics.counters().merge(stats);
-        metrics.counters().bump("batch.jobs",
-                                results.size() * args.repeat);
-        metrics.counters().bump("batch.failures",
-                                static_cast<std::uint64_t>(failures));
-        metrics.counters().bump("cache.hits", cache.hits);
-        metrics.counters().bump("cache.misses", cache.misses);
-        metrics.counters().bump("cache.evictions", cache.evictions);
+        metrics.merge(stats);
+        metrics.bump(counter("batch.jobs"), results.size() * args.repeat);
+        metrics.bump(counter("batch.failures"),
+                     static_cast<std::uint64_t>(failures));
+        metrics.bump(counter("cache.hits"), cache.hits);
+        metrics.bump(counter("cache.misses"), cache.misses);
+        metrics.bump(counter("cache.evictions"), cache.evictions);
         StreamingHistogram &jobUs = metrics.streamingHistogram("job.wall");
         for (const JobResult &r : results)
             jobUs.record(static_cast<std::uint64_t>(r.wallMs * 1000.0));

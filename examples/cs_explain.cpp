@@ -237,8 +237,7 @@ main(int argc, char **argv)
     std::cout << "\nplacement rejections by reason:\n";
     std::uint64_t totalRejects = 0;
     for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
-        std::uint64_t n =
-            stats.get(std::string("reject.") + kRejectReasonNames[i]);
+        std::uint64_t n = stats.get(kRejectCounters[i]);
         totalRejects += n;
         if (n > 0)
             std::cout << "  " << kRejectReasonNames[i] << ": " << n
@@ -270,12 +269,12 @@ main(int argc, char **argv)
                           << features.classCounts[c];
         }
         std::cout << "\n";
-        if (stats.get("ii_search.serial_inline") > 0) {
+        if (stats.get(counter("ii_search.serial_inline")) > 0) {
             std::cout << "  mode: serial-inline (portfolio says the "
                          "first attempt wins this shape)\n";
-        } else if (stats.get("ii_search.window") > 0) {
+        } else if (stats.get(counter("ii_search.window")) > 0) {
             std::cout << "  mode: speculative, window "
-                      << stats.get("ii_search.window") << "\n";
+                      << stats.get(counter("ii_search.window")) << "\n";
         } else {
             std::cout << "  mode: serial sweep (no II worker pool)\n";
         }

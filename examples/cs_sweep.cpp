@@ -374,20 +374,15 @@ main(int argc, char **argv)
               << " ms (" << TextTable::num(1000.0 * batch.size() / wallMs, 1)
               << " jobs/s), " << failures << " failure(s); context cache "
               << contexts.hits << "/" << (contexts.hits + contexts.misses)
-              << " hits, " << stats.get("pipeline.dedup_joins")
+              << " hits, " << stats.get(counter("pipeline.dedup_joins"))
               << " in-flight join(s)\n";
 
-    static const char *const kPipelineCounters[] = {
-        "jobs",
-        "cache_hits",
-        "cache_misses",
-        "dedup_joins",
-        "failures",
-    };
-    CounterSet pipelineStats;
-    for (const char *name : kPipelineCounters)
-        pipelineStats.bump(name,
-                           stats.get(std::string("pipeline.") + name));
+    static constexpr auto kPipelineCounters = counters(
+        "pipeline.",
+        {"jobs", "cache_hits", "cache_misses", "dedup_joins", "failures"});
+    CounterSet tiers;
+    cache.addTo(tiers);
+    contexts.addTo(tiers);
     std::cout << "{\"sweep\":{\"points\":" << points.size()
               << ",\"kernels\":" << specs.size()
               << ",\"option_variants\":" << args.optionVariants
@@ -402,13 +397,13 @@ main(int argc, char **argv)
               << ",\"jobs_per_sec\":"
               << TextTable::num(1000.0 * batch.size() / wallMs, 2)
               << ",\"cache\":";
-    writeCounterObject(std::cout, toCounterSet(cache),
-                       kMemoryCacheCounters);
+    writeCounterObject(std::cout, tiers, counterGroup("cache.memory."),
+                       "cache.memory.");
     std::cout << ",\"context_cache\":";
-    writeCounterObject(std::cout, toCounterSet(contexts),
-                       kContextCacheCounters);
+    writeCounterObject(std::cout, tiers, counterGroup("context."),
+                       "context.");
     std::cout << ",\"pipeline\":";
-    writeCounterObject(std::cout, pipelineStats, kPipelineCounters);
+    writeCounterObject(std::cout, stats, kPipelineCounters, "pipeline.");
     std::cout << ",\"pareto\":[";
     for (std::size_t i = 0; i < frontier.size(); ++i) {
         const DseOutcome &o = outcomes[frontier[i]];

@@ -116,7 +116,7 @@ BlockScheduler::undoTo(UndoLog::Mark mark)
             break;
           case UndoEntry::Kind::CopyInserted:
             kernel_.removeLastCopy(entry.op);
-            ++hot_.copiesUnwound;
+            stats_.bump(counter("copies_unwound"));
             break;
           case UndoEntry::Kind::UseRetargeted:
             kernel_.retargetUse(entry.op, entry.slot, entry.value);
@@ -153,7 +153,7 @@ BlockScheduler::doAcquireRead(const ReadStub &stub, OperationId reader,
                               int slot, int cycle)
 {
     reservations_.acquireRead(stub, reader, slot, cycle);
-    ++hot_.tableAcquires;
+    stats_.bump(counter("table_acquires"));
     UndoEntry entry{};
     entry.kind = UndoEntry::Kind::ReadAcquired;
     entry.readStub = stub;
@@ -168,7 +168,7 @@ BlockScheduler::doReleaseRead(const ReadStub &stub, OperationId reader,
                               int slot, int cycle)
 {
     reservations_.releaseRead(stub, reader, slot, cycle);
-    ++hot_.tableReleases;
+    stats_.bump(counter("table_releases"));
     UndoEntry entry{};
     entry.kind = UndoEntry::Kind::ReadReleased;
     entry.readStub = stub;
@@ -183,7 +183,7 @@ BlockScheduler::doAcquireWrite(const WriteStub &stub, ValueId value,
                                int cycle)
 {
     reservations_.acquireWrite(stub, value, cycle);
-    ++hot_.tableAcquires;
+    stats_.bump(counter("table_acquires"));
     UndoEntry entry{};
     entry.kind = UndoEntry::Kind::WriteAcquired;
     entry.writeStub = stub;
@@ -278,7 +278,7 @@ BlockScheduler::doInsertCopy(ValueId value, OperationId reader, int slot)
 void
 BlockScheduler::noteReject(RejectReason reason)
 {
-    ++hot_.rejects[static_cast<std::size_t>(reason)];
+    stats_.bump(kRejectCounters[static_cast<std::size_t>(reason)]);
 #ifndef CS_TRACE_DISABLED
     if (trace::enabled()) {
         // One interned event name per reason ("reject.bus_conflict",
@@ -321,7 +321,7 @@ BlockScheduler::run()
             ok = false;
             break;
         }
-        ++hot_.opsScheduled;
+        stats_.bump(counter("ops_scheduled"));
     }
 
     if (ok) {
@@ -347,53 +347,8 @@ BlockScheduler::run()
     result.failure = failure_;
     result.kernel = std::move(kernel_);
     result.schedule = std::move(schedule_);
-    flushHotCounters();
     result.stats = stats_;
     return result;
-}
-
-void
-BlockScheduler::flushHotCounters()
-{
-    auto flush = [&](const char *name, std::uint64_t &value) {
-        if (value) {
-            stats_.bump(name, value);
-            value = 0; // run() may be observed twice; don't double-count
-        }
-    };
-    flush("ops_scheduled", hot_.opsScheduled);
-    flush("placement_attempts", hot_.placementAttempts);
-    flush("attempt_budget_exhausted", hot_.attemptBudgetExhausted);
-    flush("comm_sched_calls", hot_.commSchedCalls);
-    flush("comm_sched_rejections", hot_.commSchedRejections);
-    flush("read_perm_failures", hot_.readPermFailures);
-    flush("write_perm_failures", hot_.writePermFailures);
-    flush("route_close_failures", hot_.routeCloseFailures);
-    flush("stub_retargets", hot_.stubRetargets);
-    flush("copy_feed_unroutable", hot_.copyFeedUnroutable);
-    flush("copies_unwound", hot_.copiesUnwound);
-    flush("perm_budget_exhausted", hot_.permBudgetExhausted);
-    flush("perm_backtracks", hot_.permBacktracks);
-    flush("read_perms_found", hot_.readPermsFound);
-    flush("write_perms_found", hot_.writePermsFound);
-    flush("write_perm_bus_prechecks", hot_.writePermBusPrechecks);
-    flush("copies_reused", hot_.copiesReused);
-    flush("copy_depth_exhausted", hot_.copyDepthExhausted);
-    flush("copy_range_empty", hot_.copyRangeEmpty);
-    flush("copies_inserted", hot_.copiesInserted);
-    flush("copy_schedule_failures", hot_.copyScheduleFailures);
-    flush("probe_reads", hot_.probeReads);
-    flush("probe_writes", hot_.probeWrites);
-    flush("prune_read_bus", hot_.pruneReadBus);
-    flush("prune_write_bus", hot_.pruneWriteBus);
-    flush("prune_route_mask", hot_.pruneRouteMask);
-    flush("table_acquires", hot_.tableAcquires);
-    flush("table_releases", hot_.tableReleases);
-    flush("dfs_nodes", hot_.dfsNodes);
-    for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
-        flush((std::string("reject.") + kRejectReasonNames[i]).c_str(),
-              hot_.rejects[i]);
-    }
 }
 
 int
@@ -485,13 +440,13 @@ BlockScheduler::scheduleOp(OperationId op, int rangeLo, int rangeHi,
     for (int cycle = lo; cycle <= hi_long; ++cycle) {
         for (FuncUnitId fu : unitChoices(op, cycle, copyDepth)) {
             if (++attemptsThisOp_ > attemptCap_) {
-                ++hot_.attemptBudgetExhausted;
+                stats_.bump(counter("attempt_budget_exhausted"));
                 noteReject(RejectReason::BudgetExhausted);
                 return false;
             }
             if (abortRequested())
                 return false;
-            ++hot_.placementAttempts;
+            stats_.bump(counter("placement_attempts"));
             if (tryPlace(op, cycle, fu, copyDepth))
                 return true;
             if (lastFailureCycleLevel_)
@@ -618,7 +573,6 @@ BlockScheduler::tryPlace(OperationId op, int cycle, FuncUnitId fu,
     doPlace(op, cycle, fu);
     if (commSchedule(op, cycle, fu, copyDepth))
         return true;
-    ++hot_.commSchedRejections;
     undoTo(mark);
     return false;
 }
@@ -713,19 +667,18 @@ BlockScheduler::commSchedule(OperationId op, int cycle, FuncUnitId fu,
                              int copyDepth)
 {
     (void)fu;
-    ++hot_.commSchedCalls;
     lastFailureCycleLevel_ = false;
     createCommsFor(op);
 
     // Steps 2 and 3: non-conflicting stub permutations for the issue
     // cycle's reads and the completion cycle's writes.
     if (!permuteReadStubs(cycle)) {
-        ++hot_.readPermFailures;
+        stats_.bump(counter("read_perm_failures"));
         return false;
     }
     if (kernel_.operation(op).hasResult() &&
         !permuteWriteStubs(cycle + latencyOf(op) - 1)) {
-        ++hot_.writePermFailures;
+        stats_.bump(counter("write_perm_failures"));
         lastFailureCycleLevel_ = true;
         return false;
     }
@@ -733,7 +686,7 @@ BlockScheduler::commSchedule(OperationId op, int cycle, FuncUnitId fu,
     // Steps 4 and 5: close every communication whose second endpoint
     // this placement supplies.
     if (!closeRoutes(op, copyDepth)) {
-        ++hot_.routeCloseFailures;
+        stats_.bump(counter("route_close_failures"));
         // Nested copy scheduling may have set the cycle-level flag for
         // *its* cycles; this failure is specific to (cycle, fu).
         lastFailureCycleLevel_ = false;
@@ -818,7 +771,7 @@ BlockScheduler::closeRoutes(OperationId op, int copyDepth)
                 write_rf = machine_.writePortRegFile(
                     fresh.writeStub->writePort);
                 if (write_rf == read_rf) {
-                    ++hot_.stubRetargets;
+                    stats_.bump(counter("stub_retargets"));
                     setClosed(id);
                     continue;
                 }
@@ -829,7 +782,7 @@ BlockScheduler::closeRoutes(OperationId op, int copyDepth)
         // its operand directly was mis-placed, and failing here sends
         // the placement loop to a cycle where its home unit is free.
         if (kernel_.operation(comms_.get(id).reader).isCopy()) {
-            ++hot_.copyFeedUnroutable;
+            stats_.bump(counter("copy_feed_unroutable"));
             noteReject(RejectReason::RouteInfeasible);
             return false;
         }

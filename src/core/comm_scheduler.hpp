@@ -277,54 +277,6 @@ class BlockScheduler
     /// @}
 
     /**
-     * Hot-path counters. CounterSet::bump takes a mutex and a string
-     * map lookup per call, which is measurable in the permutation
-     * search's inner loops, so the scheduler bumps plain fields and
-     * flushes them into stats_ once per run() under the usual names.
-     */
-    struct HotCounters
-    {
-        std::uint64_t opsScheduled = 0;
-        std::uint64_t placementAttempts = 0;
-        std::uint64_t attemptBudgetExhausted = 0;
-        std::uint64_t commSchedCalls = 0;
-        std::uint64_t commSchedRejections = 0;
-        std::uint64_t readPermFailures = 0;
-        std::uint64_t writePermFailures = 0;
-        std::uint64_t routeCloseFailures = 0;
-        std::uint64_t stubRetargets = 0;
-        std::uint64_t copyFeedUnroutable = 0;
-        std::uint64_t copiesUnwound = 0;
-        std::uint64_t permBudgetExhausted = 0;
-        std::uint64_t permBacktracks = 0;
-        std::uint64_t readPermsFound = 0;
-        std::uint64_t writePermsFound = 0;
-        std::uint64_t writePermBusPrechecks = 0;
-        std::uint64_t copiesReused = 0;
-        std::uint64_t copyDepthExhausted = 0;
-        std::uint64_t copyRangeEmpty = 0;
-        std::uint64_t copiesInserted = 0;
-        std::uint64_t copyScheduleFailures = 0;
-        /** Reservation-table probes issued by the permutation DFS. */
-        std::uint64_t probeReads = 0;
-        std::uint64_t probeWrites = 0;
-        /** DFS branches cut before probing (pure subsets of rejects). */
-        std::uint64_t pruneReadBus = 0;
-        std::uint64_t pruneWriteBus = 0;
-        std::uint64_t pruneRouteMask = 0;
-        /** Stub acquisitions / releases applied to the table (the
-         *  write search's trial moves included, journaled or not). */
-        std::uint64_t tableAcquires = 0;
-        std::uint64_t tableReleases = 0;
-        /** DFS expansion steps the permutation searches executed. */
-        std::uint64_t dfsNodes = 0;
-        /** Placement rejections by RejectReason (core/reject.hpp),
-         *  flushed as the "reject.<name>" counters. */
-        std::array<std::uint64_t, kNumRejectReasons> rejects{};
-    };
-    void flushHotCounters();
-
-    /**
      * Classify one placement rejection: counts it per reason and,
      * when tracing is enabled, emits an instant event so the timeline
      * shows which constraint killed which placement.
@@ -584,8 +536,8 @@ class BlockScheduler
      */
     std::vector<std::vector<OperationId>> placedByWriteRow_;
     UndoLog log_;
-    CounterSet stats_;
-    mutable HotCounters hot_; // const candidate queries count prunes
+    /** Bumped in place, one add each; const queries count prunes. */
+    mutable CounterSet stats_;
     std::string failure_;
 
     /** Scheduled copies of one value, for tryReuseExistingCopy

@@ -64,7 +64,7 @@ BlockScheduler::tryReuseExistingCopy(CommId commId)
             doAcquireWrite(stub, op.result, write_cycle);
             setWriteStub(rerouted, stub);
             setClosed(rerouted);
-            ++hot_.copiesReused;
+            stats_.bump(counter("copies_reused"));
             return true;
         }
     }
@@ -78,7 +78,7 @@ BlockScheduler::insertAndScheduleCopy(CommId commId, int copyDepth)
     if (tryReuseExistingCopy(commId))
         return true;
     if (copyDepth >= options_.maxCopyDepth) {
-        ++hot_.copyDepthExhausted;
+        stats_.bump(counter("copy_depth_exhausted"));
         noteReject(RejectReason::RouteInfeasible);
         return false;
     }
@@ -99,7 +99,7 @@ BlockScheduler::insertAndScheduleCopy(CommId commId, int copyDepth)
     int hi = issueCycleOf(original.reader) + original.distance * ii_ -
              copy_latency;
     if (lo > hi) {
-        ++hot_.copyRangeEmpty;
+        stats_.bump(counter("copy_range_empty"));
         noteReject(RejectReason::RouteInfeasible);
         return false;
     }
@@ -122,7 +122,7 @@ BlockScheduler::insertAndScheduleCopy(CommId commId, int copyDepth)
                                  original.slot, original.distance);
     setReadStub(second, original.readStub);
 
-    ++hot_.copiesInserted;
+    stats_.bump(counter("copies_inserted"));
 
     // Schedule the copy like any other operation (Section 4.3 step 5);
     // its own communication scheduling closes both halves, recursing
@@ -136,7 +136,7 @@ BlockScheduler::insertAndScheduleCopy(CommId commId, int copyDepth)
     attemptCap_ = saved_cap;
     if (ok)
         return true;
-    ++hot_.copyScheduleFailures;
+    stats_.bump(counter("copy_schedule_failures"));
     if (!aborted_)
         noteReject(RejectReason::RouteInfeasible);
     return false;

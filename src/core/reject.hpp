@@ -15,6 +15,8 @@
 #include <array>
 #include <cstddef>
 
+#include "support/stats.hpp"
+
 namespace cs {
 
 enum class RejectReason : unsigned {
@@ -55,11 +57,13 @@ constexpr std::array<const char *, kNumRejectReasons> kRejectReasonNames = {
     "aborted",
 };
 
-constexpr const char *
-rejectReasonName(RejectReason reason)
-{
-    return kRejectReasonNames[static_cast<std::size_t>(reason)];
-}
+/** The "reject.<name>" counter of each reason, by enum value. */
+inline constexpr auto kRejectCounters = []() consteval {
+    std::array<CounterId, kNumRejectReasons> ids{};
+    for (std::size_t i = 0; i < kNumRejectReasons; ++i)
+        ids[i] = counter("reject.", kRejectReasonNames[i]);
+    return ids;
+}();
 
 } // namespace cs
 

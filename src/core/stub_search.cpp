@@ -321,7 +321,7 @@ BlockScheduler::openWriteCursor(WriteCursor &cursor,
         // "special" buses — one already broadcasting this value, or
         // the one holding the tentative stub — need stub-level ranks.
         plan = &openWritePlan(openCodesFor(comm), wp.fu);
-        hot_.pruneRouteMask += plan->pruned;
+        stats_[counter("prune_route_mask")] += plan->pruned;
         std::uint32_t ws_bus = comm.writeStub
                                    ? comm.writeStub->bus.index()
                                    : UINT32_MAX;
@@ -518,7 +518,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
                           held.slot, issueCycleOf(held.reader));
         }
     };
-    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
+    auto tripsBefore = stats_.get(counter("perm_budget_exhausted"));
     bool success = [&] {
         int budget = options_.permutationBudget;
         choice.assign(ids.size(), -1);
@@ -532,7 +532,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
             // step and nothing on the candidate loop.
             if (abortRequested())
                 budget = 0;
-            ++hot_.dfsNodes;
+            stats_.bump(counter("dfs_nodes"));
             bool advanced = false;
             for (int next = choice[level] + 1;
                  next < static_cast<int>(candidates[level].size());
@@ -544,10 +544,10 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
                 // skip the probe (the probe's own first check, made
                 // O(1) here).
                 if (reservations_.busHasWrite(stub.bus, reader_cycle)) {
-                    ++hot_.pruneReadBus;
+                    stats_.bump(counter("prune_read_bus"));
                     continue;
                 }
-                ++hot_.probeReads;
+                stats_.bump(counter("probe_reads"));
                 if (reservations_.canAcquireRead(stub, comm.reader,
                                                  comm.slot,
                                                  reader_cycle)) {
@@ -562,7 +562,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
             if (advanced)
                 continue;
             if (budget <= 0) {
-                ++hot_.permBudgetExhausted;
+                stats_.bump(counter("perm_budget_exhausted"));
                 release_all(level);
                 return false;
             }
@@ -575,7 +575,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
             Communication &held = comms_.get(ids[level]);
             doReleaseRead(candidates[level][choice[level]], held.reader,
                           held.slot, issueCycleOf(held.reader));
-            ++hot_.permBacktracks;
+            stats_.bump(counter("perm_backtracks"));
         }
         return true;
     }();
@@ -584,7 +584,8 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
         // at the latch; a budget trip is a search-policy limit, not a
         // port fact; everything else exhausted the read-port space.
         if (!aborted_) {
-            noteReject(hot_.permBudgetExhausted > budgetExhaustedBefore
+            noteReject(stats_.get(counter("perm_budget_exhausted")) >
+                               tripsBefore
                            ? RejectReason::BudgetExhausted
                            : RejectReason::ReadPortConflict);
         }
@@ -602,7 +603,7 @@ BlockScheduler::permuteReadStubsImpl(int cycle, CommId constrain,
 
     for (std::size_t i = 0; i < ids.size(); ++i)
         setReadStub(ids[i], candidates[i][choice[i]]);
-    ++hot_.readPermsFound;
+    stats_.bump(counter("read_perms_found"));
     return true;
 }
 
@@ -676,7 +677,7 @@ BlockScheduler::writeDfs(PermScratch &sc, std::size_t start, int budget)
         const Communication &held = comms_.get(ids[level]);
         reservations_.releaseWrite(sc.chosenWrite[level], held.value,
                                    writeStubCycleOf(held.writer));
-        ++hot_.tableReleases;
+        stats_.bump(counter("table_releases"));
     };
     std::size_t level = start;
     while (level < ids.size()) {
@@ -686,7 +687,7 @@ BlockScheduler::writeDfs(PermScratch &sc, std::size_t start, int budget)
         // search.
         if (abortRequested())
             budget = 0;
-        ++hot_.dfsNodes;
+        stats_.bump(counter("dfs_nodes"));
         WriteCursor &cursor = sc.writeCursors[level];
         bool advanced = false;
         for (int next = choice[level] + 1;; ++next) {
@@ -704,14 +705,14 @@ BlockScheduler::writeDfs(PermScratch &sc, std::size_t start, int budget)
             if (bus_probe.hasRead ||
                 (bus_probe.value.valid() &&
                  bus_probe.value != comm.value)) {
-                ++hot_.pruneWriteBus;
+                stats_.bump(counter("prune_write_bus"));
                 continue;
             }
-            ++hot_.probeWrites;
+            stats_.bump(counter("probe_writes"));
             if (reservations_.canAcquireWrite(stub, comm.value,
                                               write_cycle)) {
                 reservations_.acquireWrite(stub, comm.value, write_cycle);
-                ++hot_.tableAcquires;
+                stats_.bump(counter("table_acquires"));
                 sc.chosenWrite[level] = stub;
                 choice[level] = next;
                 ++level;
@@ -722,7 +723,7 @@ BlockScheduler::writeDfs(PermScratch &sc, std::size_t start, int budget)
         if (advanced)
             continue;
         if (budget <= 0) {
-            ++hot_.permBudgetExhausted;
+            stats_.bump(counter("perm_budget_exhausted"));
             while (level > start)
                 release(--level);
             return WriteDfs::BudgetTrip;
@@ -733,7 +734,7 @@ BlockScheduler::writeDfs(PermScratch &sc, std::size_t start, int budget)
         // candidate scan at choice + 1.
         choice[level] = -1;
         release(--level);
-        ++hot_.permBacktracks;
+        stats_.bump(counter("perm_backtracks"));
     }
     return WriteDfs::Found;
 }
@@ -788,16 +789,16 @@ BlockScheduler::resumeWriteSearch(PermScratch &sc, int cycle)
 
     // Charge what the from-scratch DFS pays to reach level p; hand it
     // back if the rest of the search needs the full run after all.
-    static constexpr std::uint64_t HotCounters::*kCharged[] = {
-        &HotCounters::dfsNodes,        &HotCounters::probeWrites,
-        &HotCounters::pruneWriteBus,   &HotCounters::pruneRouteMask,
-        &HotCounters::permBacktracks,  &HotCounters::permBudgetExhausted};
+    static constexpr CounterId kCharged[] = {
+        counter("dfs_nodes"),       counter("probe_writes"),
+        counter("prune_write_bus"), counter("prune_route_mask"),
+        counter("perm_backtracks"), counter("perm_budget_exhausted")};
     std::array<std::uint64_t, std::size(kCharged)> saved;
     for (std::size_t k = 0; k < saved.size(); ++k)
-        saved[k] = hot_.*kCharged[k];
-    hot_.dfsNodes += p;
-    hot_.probeWrites += p;
-    hot_.pruneRouteMask += prefixPruned;
+        saved[k] = stats_.get(kCharged[k]);
+    stats_[counter("dfs_nodes")] += p;
+    stats_[counter("probe_writes")] += p;
+    stats_[counter("prune_route_mask")] += prefixPruned;
 
     auto &choice = sc.choice;
     choice.assign(ids.size(), -1);
@@ -817,11 +818,11 @@ BlockScheduler::resumeWriteSearch(PermScratch &sc, int cycle)
     // a backtrack into the prefix, a budget trip — reruns from level 0.
     if (writeDfs(sc, p, budget - static_cast<int>(p)) == WriteDfs::Found) {
         commitWriteStubs(sc);
-        ++hot_.writePermsFound;
+        stats_.bump(counter("write_perms_found"));
         return true;
     }
     for (std::size_t k = 0; k < saved.size(); ++k)
-        hot_.*kCharged[k] = saved[k];
+        stats_[kCharged[k]] = saved[k];
     return false;
 }
 
@@ -837,7 +838,7 @@ BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
             const Communication &comm = comms_.get(ids[i]);
             reservations_.releaseWrite(*previous[i], comm.value,
                                        writeStubCycleOf(comm.writer));
-            ++hot_.tableReleases;
+            stats_.bump(counter("table_releases"));
         }
     }
     auto restore = [&] {
@@ -846,7 +847,7 @@ BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
                 const Communication &comm = comms_.get(ids[i]);
                 reservations_.acquireWrite(*previous[i], comm.value,
                                            writeStubCycleOf(comm.writer));
-                ++hot_.tableAcquires;
+                stats_.bump(counter("table_acquires"));
             }
         }
     };
@@ -901,14 +902,14 @@ BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
             }
         }
         if (distinct.size() > usable_count) {
-            ++hot_.writePermBusPrechecks;
+            stats_.bump(counter("write_perm_bus_prechecks"));
             noteReject(RejectReason::BusConflict);
             restore();
             return false;
         }
     }
 
-    std::uint64_t budgetExhaustedBefore = hot_.permBudgetExhausted;
+    auto tripsBefore = stats_.get(counter("perm_budget_exhausted"));
     sc.choice.assign(ids.size(), -1);
     if (writeDfs(sc, 0, options_.permutationBudget) != WriteDfs::Found) {
         // Classify: abort already noted at the latch; a communication
@@ -922,7 +923,7 @@ BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
                 emptyList = sc.writeCursors[i].at(0) == nullptr;
             noteReject(
                 emptyList ? RejectReason::NoServiceableWriteStub
-                : hot_.permBudgetExhausted > budgetExhaustedBefore
+                : stats_.get(counter("perm_budget_exhausted")) > tripsBefore
                     ? RejectReason::BudgetExhausted
                     : RejectReason::WritePortConflict);
         }
@@ -930,7 +931,7 @@ BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
         return false;
     }
     commitWriteStubs(sc);
-    ++hot_.writePermsFound;
+    stats_.bump(counter("write_perms_found"));
     return true;
 }
 

@@ -87,16 +87,14 @@ ContextCache::clear()
     index_.clear();
 }
 
-CounterSet
-toCounterSet(const ContextCache::Stats &stats)
+void
+ContextCache::Stats::addTo(CounterSet &out) const
 {
-    CounterSet out;
-    out.bump("hits", stats.hits);
-    out.bump("misses", stats.misses);
-    out.bump("evictions", stats.evictions);
-    out.bump("entries", stats.entries);
-    out.bump("capacity", stats.capacity);
-    return out;
+    out.bump(counter("context.hits"), hits);
+    out.bump(counter("context.misses"), misses);
+    out.bump(counter("context.evictions"), evictions);
+    out.bump(counter("context.entries"), entries);
+    out.bump(counter("context.capacity"), capacity);
 }
 
 } // namespace cs

@@ -116,6 +116,9 @@ class ContextCache
                        : static_cast<double>(hits) /
                              static_cast<double>(lookups);
         }
+
+        /** Add these as the context.* counters of @p out. */
+        void addTo(CounterSet &out) const;
     };
 
     Stats stats() const;
@@ -136,17 +139,6 @@ class ContextCache
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
 };
-
-/** Canonical key order for emitting Stats via writeCounterObject. */
-inline constexpr const char *kContextCacheCounters[] = {
-    "hits", "misses", "evictions", "entries", "capacity",
-};
-
-/**
- * Stats as a CounterSet, so front-ends emit them through the shared
- * writeCounterObject path (as a "context_cache" JSON object).
- */
-CounterSet toCounterSet(const ContextCache::Stats &stats);
 
 } // namespace cs
 

@@ -21,10 +21,8 @@ std::array<std::uint64_t, kNumRejectReasons>
 rejectMixOf(const CounterSet &stats)
 {
     std::array<std::uint64_t, kNumRejectReasons> mix{};
-    for (std::size_t i = 0; i < kNumRejectReasons; ++i) {
-        mix[i] = stats.get(std::string("reject.") +
-                           kRejectReasonNames[i]);
-    }
+    for (std::size_t i = 0; i < kNumRejectReasons; ++i)
+        mix[i] = stats.get(kRejectCounters[i]);
     return mix;
 }
 
@@ -106,7 +104,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
             bool cancelled = attempt.cancelled;
             planner.onAttemptDone(k, attempt.success,
                                   rejectMixOf(attempt.stats),
-                                  attempt.stats.get("dfs_nodes"));
+                                  attempt.stats.get(counter("dfs_nodes")));
             if (attempt.success) {
                 result.success = true;
                 result.ii = ii;
@@ -133,9 +131,9 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
                 planner.rejectTotals(), planner.dfsNodeTotal());
         }
         CounterSet &stats = result.inner.stats;
-        stats.bump("ii_search.attempts_launched",
+        stats.bump(counter("ii_search.attempts_launched"),
                    static_cast<std::uint64_t>(result.attempts));
-        stats.bump("ii_search.serial_inline", 1);
+        stats.bump(counter("ii_search.serial_inline"));
         return result;
     }
 
@@ -195,7 +193,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
             // with the smallest successful index.
             planner.onAttemptDone(k, a.result.success,
                                   rejectMixOf(a.result.stats),
-                                  a.result.stats.get("dfs_nodes"));
+                                  a.result.stats.get(counter("dfs_nodes")));
         }
         if (a.result.success && k < best) {
             best = k;
@@ -266,17 +264,19 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
     }
 
     CounterSet &stats = result.inner.stats;
-    stats.bump("ii_search.attempts_launched",
+    stats.bump(counter("ii_search.attempts_launched"),
                static_cast<std::uint64_t>(launched_count));
     if (result.attemptsWasted > 0) {
-        stats.bump("ii_search.attempts_wasted",
+        stats.bump(counter("ii_search.attempts_wasted"),
                    static_cast<std::uint64_t>(result.attemptsWasted));
     }
     if (num_cancelled > 0) {
-        stats.bump("ii_search.attempts_cancelled", num_cancelled);
-        stats.bump("ii_search.cancel_latency_us", cancel_latency_us);
+        stats.bump(counter("ii_search.attempts_cancelled"), num_cancelled);
+        stats.bump(counter("ii_search.cancel_latency_us"),
+                   cancel_latency_us);
     }
-    stats.bump("ii_search.window", static_cast<std::uint64_t>(plan.window));
+    stats.bump(counter("ii_search.window"),
+               static_cast<std::uint64_t>(plan.window));
     return result;
 }
 

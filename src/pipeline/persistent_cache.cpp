@@ -107,6 +107,8 @@ PersistentScheduleCache::PersistentScheduleCache(
     : memory_(memoryCapacity), directory_(std::move(directory)),
       ownershipRetryMs_(ownershipRetryMs)
 {
+    for (CounterId id : counterGroup("cache.disk."))
+        counters_.bump(id, 0); // listed, even with no disk tier
     if (directory_.empty() || memoryCapacity == 0)
         return;
     std::error_code ec;
@@ -187,11 +189,8 @@ PersistentScheduleCache::openOne(Shard &shard)
         size = fallback.size();
     }
 
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        if (shard.owned)
-            ++diskStats_.ownedShards;
-    }
+    if (shard.owned)
+        counters_.bump(counter("cache.disk.owned_shards"));
     if (!shard.owned)
         shard.lastOwnershipTry = std::chrono::steady_clock::now();
     if (size == 0)
@@ -242,11 +241,8 @@ PersistentScheduleCache::maybePromote(Shard &shard)
         bytes = fallback.data();
         size = fallback.size();
     }
-    {
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        ++diskStats_.ownedShards;
-        ++diskStats_.ownershipPromotions;
-    }
+    counters_.bump(counter("cache.disk.owned_shards"));
+    counters_.bump(counter("cache.disk.ownership_promotions"));
     if (size != 0 && !loadFromFooter(shard, bytes, size))
         loadFromScan(shard, bytes, size);
 }
@@ -284,9 +280,8 @@ PersistentScheduleCache::loadFromFooter(Shard &shard,
     shard.index = std::move(index);
     shard.appendPos = dataEnd;
     shard.footerIntact = true;
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ++diskStats_.footerLoads;
-    diskStats_.loadedEntries += count;
+    counters_.bump(counter("cache.disk.footer_loads"));
+    counters_.bump(counter("cache.disk.loaded_entries"), count);
     return true;
 }
 
@@ -347,14 +342,12 @@ PersistentScheduleCache::loadFromScan(Shard &shard,
             CS_WARN("schedule cache: cannot truncate torn tail of '",
                     shard.path, "': ", std::strerror(errno));
         }
-        std::lock_guard<std::mutex> lock(statsMutex_);
-        diskStats_.truncatedBytes += size - pos;
+        counters_.bump(counter("cache.disk.truncated_bytes"), size - pos);
     }
     shard.appendPos = pos;
     shard.footerIntact = false;
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    ++diskStats_.scanLoads;
-    diskStats_.loadedEntries += loaded;
+    counters_.bump(counter("cache.disk.scan_loads"));
+    counters_.bump(counter("cache.disk.loaded_entries"), loaded);
 }
 
 void
@@ -391,9 +384,9 @@ PersistentScheduleCache::shardFor(std::uint64_t key)
 }
 
 std::shared_ptr<const JobResult>
-PersistentScheduleCache::lookup(std::uint64_t key)
+PersistentScheduleCache::lookup(std::uint64_t key, bool countMiss)
 {
-    std::shared_ptr<const JobResult> hit = memory_.lookup(key);
+    std::shared_ptr<const JobResult> hit = memory_.lookup(key, countMiss);
     if (hit != nullptr || shards_.empty())
         return hit;
 
@@ -402,8 +395,8 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     maybePromote(shard);
     auto it = shard.index.find(key);
     if (it == shard.index.end()) {
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        ++diskStats_.misses;
+        if (countMiss)
+            counters_.bump(counter("cache.disk.misses"));
         return nullptr;
     }
     auto [offset, length] = it->second;
@@ -418,8 +411,7 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     if (shard.map.valid() && offset + span > shard.map.size() &&
         shard.fd >= 0) {
         shard.map.remap(shard.fd);
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        ++diskStats_.remaps;
+        counters_.bump(counter("cache.disk.remaps"));
     }
     std::vector<std::uint8_t> copy;
     bool ok = true;
@@ -448,15 +440,12 @@ PersistentScheduleCache::lookup(std::uint64_t key)
     }
     if (!ok) {
         shard.index.erase(it);
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        ++diskStats_.readErrors;
-        ++diskStats_.misses;
+        counters_.bump(counter("cache.disk.read_errors"));
+        if (countMiss)
+            counters_.bump(counter("cache.disk.misses"));
         return nullptr;
     }
-    {
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        ++diskStats_.hits;
-    }
+    counters_.bump(counter("cache.disk.hits"));
     memory_.insert(key, result); // promote the one decoded result
     return result;
 }
@@ -494,11 +483,8 @@ PersistentScheduleCache::insert(std::uint64_t key,
     std::lock_guard<std::mutex> lock(shard.mutex);
     maybePromote(shard);
     if (!shard.owned || shard.fd < 0) {
-        std::lock_guard<std::mutex> slock(statsMutex_);
-        if (shard.fd < 0)
-            ++diskStats_.writeErrors;
-        else
-            ++diskStats_.droppedReadOnly;
+        counters_.bump(shard.fd < 0 ? counter("cache.disk.write_errors")
+                                    : counter("cache.disk.dropped_read_only"));
         return;
     }
     if (shard.footerIntact) {
@@ -513,9 +499,8 @@ PersistentScheduleCache::insert(std::uint64_t key,
         shard.footerIntact = false;
     }
     bool ok = writeAll(shard.fd, record.data(), record.size());
-    std::lock_guard<std::mutex> slock(statsMutex_);
     if (!ok) {
-        ++diskStats_.writeErrors;
+        counters_.bump(counter("cache.disk.write_errors"));
         CS_WARN("schedule cache: failed to append to '", shard.path,
                 "'");
         // Heal the possibly-torn tail in place; if even that fails,
@@ -525,7 +510,7 @@ PersistentScheduleCache::insert(std::uint64_t key,
             shard.owned = false;
         return;
     }
-    ++diskStats_.writes;
+    counters_.bump(counter("cache.disk.writes"));
     shard.index[key] = {shard.appendPos + kShardRecordHeaderBytes,
                         static_cast<std::uint32_t>(payload.size())};
     shard.appendPos += record.size();
@@ -534,8 +519,22 @@ PersistentScheduleCache::insert(std::uint64_t key,
 PersistentScheduleCache::DiskStats
 PersistentScheduleCache::diskStats() const
 {
-    std::lock_guard<std::mutex> lock(statsMutex_);
-    return diskStats_;
+    CounterSet c = counters_.snapshot();
+    DiskStats s;
+    s.loadedEntries = c.get(counter("cache.disk.loaded_entries"));
+    s.truncatedBytes = c.get(counter("cache.disk.truncated_bytes"));
+    s.footerLoads = c.get(counter("cache.disk.footer_loads"));
+    s.scanLoads = c.get(counter("cache.disk.scan_loads"));
+    s.ownedShards = c.get(counter("cache.disk.owned_shards"));
+    s.hits = c.get(counter("cache.disk.hits"));
+    s.misses = c.get(counter("cache.disk.misses"));
+    s.readErrors = c.get(counter("cache.disk.read_errors"));
+    s.writes = c.get(counter("cache.disk.writes"));
+    s.writeErrors = c.get(counter("cache.disk.write_errors"));
+    s.droppedReadOnly = c.get(counter("cache.disk.dropped_read_only"));
+    s.remaps = c.get(counter("cache.disk.remaps"));
+    s.ownershipPromotions = c.get(counter("cache.disk.ownership_promotions"));
+    return s;
 }
 
 std::vector<PersistentScheduleCache::ShardInfo>
@@ -596,26 +595,6 @@ PersistentScheduleCache::stripIndexFooters(const std::string &directory)
         ::close(fd);
     }
     return stripped;
-}
-
-CounterSet
-toCounterSet(const PersistentScheduleCache::DiskStats &stats)
-{
-    CounterSet out;
-    out.bump("loaded_entries", stats.loadedEntries);
-    out.bump("truncated_bytes", stats.truncatedBytes);
-    out.bump("footer_loads", stats.footerLoads);
-    out.bump("scan_loads", stats.scanLoads);
-    out.bump("owned_shards", stats.ownedShards);
-    out.bump("hits", stats.hits);
-    out.bump("misses", stats.misses);
-    out.bump("read_errors", stats.readErrors);
-    out.bump("writes", stats.writes);
-    out.bump("write_errors", stats.writeErrors);
-    out.bump("dropped_read_only", stats.droppedReadOnly);
-    out.bump("remaps", stats.remaps);
-    out.bump("ownership_promotions", stats.ownershipPromotions);
-    return out;
 }
 
 } // namespace cs

@@ -135,9 +135,10 @@ class PersistentScheduleCache
      * record once into a new shared result and promotes that pointer
      * into the memory tier. Counts one hit or miss on the tier that
      * answered (a disk hit counts a memory miss too: per-tier counters
-     * stay truthful).
+     * stay truthful); with @p countMiss false, no tier counts a miss.
      */
-    std::shared_ptr<const JobResult> lookup(std::uint64_t key);
+    std::shared_ptr<const JobResult> lookup(std::uint64_t key,
+                                            bool countMiss = true);
 
     /**
      * Insert into both tiers. The disk write is a single append on the
@@ -168,7 +169,7 @@ class PersistentScheduleCache
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         /** Disk-hit records that failed checksum/decode on read (each
-         *  also counts a miss). */
+         *  also counts a miss, except on a re-probe). */
         std::uint64_t readErrors = 0;
         std::uint64_t writes = 0;
         std::uint64_t writeErrors = 0;
@@ -182,6 +183,9 @@ class PersistentScheduleCache
     };
 
     DiskStats diskStats() const;
+
+    /** The same as the cache.disk.* counters, every one listed. */
+    CounterSet diskCounters() const { return counters_.snapshot(); }
 
     /**
      * Point-in-time view of one shard file, for telemetry: bytes is
@@ -261,21 +265,9 @@ class PersistentScheduleCache
     int ownershipRetryMs_ = 0;
     std::vector<std::unique_ptr<Shard>> shards_;
 
-    mutable std::mutex statsMutex_;
-    DiskStats diskStats_;
+    /** The cache.disk.* counters (relaxed atomics, no lock). */
+    SharedCounterSet counters_;
 };
-
-/** Canonical key order for emitting DiskStats via writeCounterObject. */
-inline constexpr const char *kDiskCacheCounters[] = {
-    "loaded_entries", "truncated_bytes", "footer_loads",
-    "scan_loads",     "owned_shards",    "hits",
-    "misses",         "read_errors",     "writes",
-    "write_errors",   "dropped_read_only", "remaps",
-    "ownership_promotions",
-};
-
-/** DiskStats as a CounterSet for the shared JSON emitters. */
-CounterSet toCounterSet(const PersistentScheduleCache::DiskStats &stats);
 
 } // namespace cs
 

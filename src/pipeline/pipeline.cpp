@@ -116,21 +116,21 @@ SchedulingPipeline::submit(ScheduleJob job, std::uint64_t key,
 {
     return pool_.submit(
         [this, job = std::move(job), key, done = std::move(done)] {
-            done(runOne(job, key));
+            done(runOne(job, key, true));
         });
 }
 
 std::shared_ptr<const JobResult>
-SchedulingPipeline::probeCached(std::uint64_t key)
+SchedulingPipeline::probeCached(std::uint64_t key, bool countMiss)
 {
-    std::shared_ptr<const JobResult> cached = cache_.lookup(key);
+    std::shared_ptr<const JobResult> cached = cache_.lookup(key, countMiss);
     if (cached == nullptr)
         return nullptr;
     CS_TRACE_INSTANT1("cache_probe", "hit", 1);
-    stats_.bump("pipeline.jobs");
-    stats_.bump("pipeline.cache_hits");
+    stats_.bump(counter("pipeline.jobs"));
+    stats_.bump(counter("pipeline.cache_hits"));
     if (!cached->success)
-        stats_.bump("pipeline.failures");
+        stats_.bump(counter("pipeline.failures"));
     return cached;
 }
 
@@ -167,14 +167,14 @@ SchedulingPipeline::scheduleOne(const ScheduleJob &job)
 void
 SchedulingPipeline::countScheduled(const JobResult &result)
 {
-    stats_.bump("pipeline.jobs");
-    stats_.bump("pipeline.cache_misses");
+    stats_.bump(counter("pipeline.jobs"));
+    stats_.bump(counter("pipeline.cache_misses"));
     if (result.cancelled)
-        stats_.bump("pipeline.cancelled");
+        stats_.bump(counter("pipeline.cancelled"));
     if (!result.success)
-        stats_.bump("pipeline.failures");
+        stats_.bump(counter("pipeline.failures"));
     if (!result.verifierErrors.empty())
-        stats_.bump("pipeline.verifier_rejects");
+        stats_.bump(counter("pipeline.verifier_rejects"));
     stats_.merge(result.sched.stats);
 }
 
@@ -193,9 +193,9 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
                 JobResult out;
                 out.cancelled = true;
                 out.wallMs = msSince(start);
-                stats_.bump("pipeline.jobs");
-                stats_.bump("pipeline.dedup_joins");
-                stats_.bump("pipeline.cancelled");
+                stats_.bump(counter("pipeline.jobs"));
+                stats_.bump(counter("pipeline.dedup_joins"));
+                stats_.bump(counter("pipeline.cancelled"));
                 return out;
             }
             // Timed wait only to poll the abort flag; an unarmed job
@@ -211,10 +211,10 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
     if (!led->cancelled) {
         JobResult out = *led;
         out.wallMs = msSince(start);
-        stats_.bump("pipeline.jobs");
-        stats_.bump("pipeline.dedup_joins");
+        stats_.bump(counter("pipeline.jobs"));
+        stats_.bump(counter("pipeline.dedup_joins"));
         if (!out.success)
-            stats_.bump("pipeline.failures");
+            stats_.bump(counter("pipeline.failures"));
         return out;
     }
     // The leader hit *its* deadline; its result says nothing about
@@ -227,13 +227,14 @@ SchedulingPipeline::joinInFlight(const ScheduleJob &job,
 }
 
 JobResult
-SchedulingPipeline::runOne(const ScheduleJob &job, std::uint64_t key)
+SchedulingPipeline::runOne(const ScheduleJob &job, std::uint64_t key,
+                           bool reprobe)
 {
     auto start = Clock::now();
     // The hit path *is* the serving fast path: runOne and the
     // reader-thread probe in serve/server.cpp must count and shape
     // hits identically, so both go through probeCached.
-    if (std::shared_ptr<const JobResult> cached = probeCached(key))
+    if (auto cached = probeCached(key, !reprobe))
         return copyHit(*cached, start);
     CS_TRACE_INSTANT1("cache_probe", "hit", 0);
 
@@ -285,7 +286,7 @@ SchedulingPipeline::runOne(const ScheduleJob &job, std::uint64_t key)
 CounterSet
 SchedulingPipeline::statsSnapshot() const
 {
-    return stats_;
+    return stats_.snapshot();
 }
 
 std::size_t

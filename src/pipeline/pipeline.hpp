@@ -2,8 +2,8 @@
  * @file
  * The scheduling pipeline: fans a batch of self-contained scheduling
  * jobs across a fixed-size thread pool, memoizing results in a shared
- * content-addressed cache and aggregating per-job scheduler counters
- * into one thread-safe CounterSet.
+ * content-addressed cache and adding per-job scheduler counters into
+ * one SharedCounterSet (relaxed atomic adds, no lock).
  *
  * Determinism contract: results come back indexed by submission
  * position and each job is closed over all of its inputs, so a batch
@@ -137,8 +137,10 @@ class SchedulingPipeline
 
     /**
      * submit() for a caller that already holds the job's content key,
-     * scheduleJobKey(job): the run probes, coalesces and inserts under
-     * @p key instead of hashing the job again.
+     * scheduleJobKey(job), and whose probeCached(key) missed: the run
+     * coalesces and inserts under @p key without hashing the job again.
+     * Its re-probe catches an identical job finished since; a hit there
+     * counts as any hit, a miss counts nothing (the caller's did).
      */
     bool submit(ScheduleJob job, std::uint64_t key,
                 std::function<void(JobResult)> done);
@@ -153,8 +155,10 @@ class SchedulingPipeline
      * result is the stored one, so its cacheHit/wallMs describe the
      * run that populated it; the caller reports this lookup's on its
      * own copy or response. Safe to call concurrently from any thread.
+     * With @p countMiss false, the cache tiers do not count a miss.
      */
-    std::shared_ptr<const JobResult> probeCached(std::uint64_t key);
+    std::shared_ptr<const JobResult> probeCached(std::uint64_t key,
+                                                 bool countMiss = true);
 
     /**
      * probeCached(scheduleJobKey(job)), copied out as runOne() returns
@@ -173,13 +177,10 @@ class SchedulingPipeline
     const ContextCache &contextCache() const { return contextCache_; }
 
     /**
-     * Aggregated counters across every job ever run: "pipeline.jobs",
-     * "pipeline.cache_hits", "pipeline.cache_misses",
-     * "pipeline.dedup_joins" (jobs that attached to an identical
-     * in-flight run), "pipeline.failures", plus the merged per-job
-     * scheduler counters. jobs = cache_hits + cache_misses +
-     * dedup_joins, and scheduler counters are merged once per actual
-     * scheduling run (misses only).
+     * The pipeline.* counters of every job ever run plus the per-job
+     * scheduler counters, merged once per scheduling run (misses
+     * only). jobs = cache_hits + cache_misses + dedup_joins (jobs that
+     * attached to an identical in-flight run).
      */
     CounterSet statsSnapshot() const;
 
@@ -202,8 +203,10 @@ class SchedulingPipeline
     /** One in-flight scheduling run joiners can attach to. */
     struct InFlightJob;
 
-    /** Probe, coalesce or schedule one job whose content key is @p key. */
-    JobResult runOne(const ScheduleJob &job, std::uint64_t key);
+    /** Probe, coalesce or schedule one job whose content key is @p key;
+     *  @p reprobe when the caller's probe already counted a miss. */
+    JobResult runOne(const ScheduleJob &job, std::uint64_t key,
+                     bool reprobe = false);
     /** Schedule (no cache probe), via the shared analysis cache. */
     JobResult scheduleOne(const ScheduleJob &job);
     /** Block until the leader finishes, then adopt its result. */
@@ -218,7 +221,7 @@ class SchedulingPipeline
     ContextCache contextCache_;
     bool shareContexts_;
     bool dedupInFlight_;
-    CounterSet stats_;
+    SharedCounterSet stats_;
     mutable std::mutex inflightMutex_;
     /** Content key -> the run in flight for it (leader-owned). */
     std::unordered_map<std::uint64_t, std::shared_ptr<InFlightJob>>

@@ -1,5 +1,7 @@
 #include "pipeline/result_io.hpp"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "ir/serialize.hpp"
@@ -29,14 +31,16 @@ decodeId(wire::ByteReader &reader)
 void
 encodeCounters(wire::ByteWriter &writer, const CounterSet &stats)
 {
-    auto snapshot = stats.snapshot();
-    writer.u32(static_cast<std::uint32_t>(snapshot.size()));
-    for (const auto &[name, value] : snapshot) {
+    writer.u32(static_cast<std::uint32_t>(std::ranges::count_if(
+        kAllCounters, [&stats](CounterId id) { return stats.listed(id); })));
+    stats.forEach([&writer](std::string_view name, std::uint64_t value) {
         writer.str(name);
         writer.u64(value);
-    }
+    });
 }
 
+/** Counters by name: a name not declared (a retired counter) is
+ *  skipped, so records of older builds still read. */
 bool
 decodeCounters(wire::ByteReader &reader, CounterSet *stats)
 {
@@ -44,8 +48,9 @@ decodeCounters(wire::ByteReader &reader, CounterSet *stats)
     for (std::uint32_t i = 0; i < count && !reader.failed(); ++i) {
         std::string name = reader.str();
         std::uint64_t value = reader.u64();
-        if (!reader.failed())
-            stats->bump(name, value);
+        std::optional<CounterId> id = findCounter(name);
+        if (id && !reader.failed())
+            stats->bump(*id, value);
     }
     return !reader.failed();
 }
@@ -152,7 +157,7 @@ decodeJobResult(wire::ByteReader &reader, JobResult *out)
     if (!decodeKernel(reader, &kernel))
         return false;
     sched.kernel = std::move(*kernel);
-    sched.stats.clear();
+    sched.stats = CounterSet();
     if (!decodeCounters(reader, &sched.stats))
         return false;
 

@@ -9,12 +9,12 @@ ScheduleCache::ScheduleCache(std::size_t capacity) : capacity_(capacity)
 }
 
 std::shared_ptr<const JobResult>
-ScheduleCache::lookup(std::uint64_t key)
+ScheduleCache::lookup(std::uint64_t key, bool countMiss)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(key);
     if (it == index_.end()) {
-        ++misses_;
+        misses_ += countMiss;
         return nullptr;
     }
     ++hits_;
@@ -70,16 +70,14 @@ ScheduleCache::clear()
     index_.clear();
 }
 
-CounterSet
-toCounterSet(const ScheduleCache::Stats &stats)
+void
+ScheduleCache::Stats::addTo(CounterSet &out) const
 {
-    CounterSet out;
-    out.bump("hits", stats.hits);
-    out.bump("misses", stats.misses);
-    out.bump("evictions", stats.evictions);
-    out.bump("entries", stats.entries);
-    out.bump("capacity", stats.capacity);
-    return out;
+    out.bump(counter("cache.memory.hits"), hits);
+    out.bump(counter("cache.memory.misses"), misses);
+    out.bump(counter("cache.memory.evictions"), evictions);
+    out.bump(counter("cache.memory.entries"), entries);
+    out.bump(counter("cache.memory.capacity"), capacity);
 }
 
 } // namespace cs

@@ -52,10 +52,11 @@ class ScheduleCache
 
     /**
      * Look up a content key: the shared stored result, or null on a
-     * miss. A hit refreshes the entry's LRU position. Counts a hit or
-     * a miss.
+     * miss. A hit refreshes the entry's LRU position. Counts a hit, or
+     * a miss unless @p countMiss is false (a re-probe).
      */
-    std::shared_ptr<const JobResult> lookup(std::uint64_t key);
+    std::shared_ptr<const JobResult> lookup(std::uint64_t key,
+                                            bool countMiss = true);
 
     /**
      * Store a result, evicting the least-recently-used entry when
@@ -83,6 +84,9 @@ class ScheduleCache
                        : static_cast<double>(hits) /
                              static_cast<double>(lookups);
         }
+
+        /** Add these as the cache.memory.* counters of @p out. */
+        void addTo(CounterSet &out) const;
     };
 
     Stats stats() const;
@@ -101,19 +105,6 @@ class ScheduleCache
     std::uint64_t misses_ = 0;
     std::uint64_t evictions_ = 0;
 };
-
-/** Canonical key order for emitting Stats via writeCounterObject. */
-inline constexpr const char *kMemoryCacheCounters[] = {
-    "hits", "misses", "evictions", "entries", "capacity",
-};
-
-/**
- * Stats as a CounterSet, so every front-end (cs_batch JSON line,
- * cs_serve stats responses, --metrics files) emits cache counters
- * through the one shared writer (support/metrics.hpp) instead of
- * hand-rolling JSON.
- */
-CounterSet toCounterSet(const ScheduleCache::Stats &stats);
 
 } // namespace cs
 

@@ -105,15 +105,6 @@ asView(std::span<const std::uint8_t> bytes)
     return {reinterpret_cast<const char *>(bytes.data()), bytes.size()};
 }
 
-/** Add every counter of @p tier to @p out as @p prefix + its name. */
-void
-addPrefixed(CounterSet &out, const char *prefix, const CounterSet &tier)
-{
-    tier.forEach([&out, prefix](const std::string &name, std::uint64_t v) {
-        out.bump(std::string(prefix) + name, v);
-    });
-}
-
 } // namespace
 
 RequestMemo::RequestMemo(std::size_t capacity, std::size_t maxBytes)
@@ -126,11 +117,8 @@ RequestMemo::find(std::span<const std::uint8_t> body)
     std::size_t hash = std::hash<std::string_view>{}(asView(body));
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(hash);
-    if (it == index_.end() || it->second->body != asView(body)) {
-        ++misses_;
+    if (it == index_.end() || it->second->body != asView(body))
         return std::nullopt;
-    }
-    ++hits_;
     lru_.splice(lru_.begin(), lru_, it->second);
     return it->second->key;
 }
@@ -166,22 +154,16 @@ RequestMemo::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     Stats s;
-    s.hits = hits_;
-    s.misses = misses_;
     s.entries = lru_.size();
     s.bytes = bytes_;
     return s;
 }
 
-CounterSet
-toCounterSet(const RequestMemo::Stats &stats)
+void
+RequestMemo::Stats::addTo(CounterSet &out) const
 {
-    CounterSet out;
-    out.bump("hits", stats.hits);
-    out.bump("misses", stats.misses);
-    out.bump("entries", stats.entries);
-    out.bump("bytes", stats.bytes);
-    return out;
+    out.bump(counter("serve.request_memo.entries"), entries);
+    out.bump(counter("serve.request_memo.bytes"), bytes);
 }
 
 ScheduleServer::ScheduleServer(const ServerConfig &config)
@@ -203,9 +185,12 @@ ScheduleServer::ScheduleServer(const ServerConfig &config)
       phaseQueue_(&metrics_.streamingHistogram("serve.phase_us.queue")),
       phaseSchedule_(
           &metrics_.streamingHistogram("serve.phase_us.schedule")),
-      phaseReply_(&metrics_.streamingHistogram("serve.phase_us.reply")),
-      inflightGauge_(&metrics_.gauge("serve.inflight"))
-{}
+      phaseReply_(&metrics_.streamingHistogram("serve.phase_us.reply"))
+{
+    // Listed from the start, like the memo's entries and bytes.
+    metrics_.bump(counter("serve.request_memo.hits"), 0);
+    metrics_.bump(counter("serve.request_memo.misses"), 0);
+}
 
 ScheduleServer::~ScheduleServer()
 {
@@ -401,7 +386,7 @@ ScheduleServer::acceptLoop(std::atomic<int> &listenFd, bool tcp)
         }
         auto conn = std::make_shared<Connection>();
         conn->fd = fd;
-        metrics_.counters().bump("serve.connections");
+        metrics_.bump(counter("serve.connections"));
         std::lock_guard<std::mutex> lock(connMutex_);
         reapFinishedLocked();
         connections_.push_back(conn);
@@ -439,7 +424,7 @@ ScheduleServer::connectionLoop(std::shared_ptr<Connection> conn)
     std::vector<std::uint8_t> frame;
     while (conn->open.load() && readFrame(conn->fd, &frame)) {
         auto received = std::chrono::steady_clock::now();
-        metrics_.counters().bump("serve.frames_in");
+        metrics_.bump(counter("serve.frames_in"));
         wire::ByteReader reader(
             std::span<const std::uint8_t>(frame.data(), frame.size()));
         Request request;
@@ -452,11 +437,13 @@ ScheduleServer::connectionLoop(std::shared_ptr<Connection> conn)
             body = std::span<const std::uint8_t>(frame).subspan(
                 kRequestHeaderBytes);
             memoKey = memo_.find(body);
+            metrics_.bump(memoKey ? counter("serve.request_memo.hits")
+                                  : counter("serve.request_memo.misses"));
         }
         if (ok && !memoKey.has_value())
             ok = decodeRequestBody(reader, &request);
         if (!ok) {
-            metrics_.counters().bump("serve.bad_requests");
+            metrics_.bump(counter("serve.bad_requests"));
             Response response;
             response.requestId = request.requestId;
             response.status = ResponseStatus::BadRequest;
@@ -516,7 +503,7 @@ ScheduleServer::handleRequest(
     using Clock = std::chrono::steady_clock;
     CS_TRACE_SPAN1("serve_request", "type",
                    static_cast<int>(request.type));
-    metrics_.counters().bump("serve.requests");
+    metrics_.bump(counter("serve.requests"));
     phaseDecode_->record(elapsedUs(received, decoded));
     // Lifecycle id: allocated for every request that reaches the
     // handler, echoed in the v2 response tail. The peer's version
@@ -528,20 +515,20 @@ ScheduleServer::handleRequest(
     response.serverRequestId = serverId;
 
     if (request.type == RequestType::Ping) {
-        metrics_.counters().bump("serve.pings");
+        metrics_.bump(counter("serve.pings"));
         response.status = ResponseStatus::Ok;
         sendResponse(conn, response, peer);
         return;
     }
     if (request.type == RequestType::Stats) {
-        metrics_.counters().bump("serve.stats_requests");
+        metrics_.bump(counter("serve.stats_requests"));
         response.status = ResponseStatus::Ok;
         response.message = statsJson();
         sendResponse(conn, response, peer);
         return;
     }
     if (request.type == RequestType::Watch) {
-        metrics_.counters().bump("serve.watch_requests");
+        metrics_.bump(counter("serve.watch_requests"));
         if (draining_.load()) {
             response.status = ResponseStatus::ShuttingDown;
             response.message = "server is draining";
@@ -557,10 +544,8 @@ ScheduleServer::handleRequest(
     // close connections / tear down the pipeline — between a request
     // being observed and its reply being written. Every return below
     // sends its response first and only then calls finishRequest().
-    metrics_.counters().bump("serve.schedule_requests");
+    metrics_.bump(counter("serve.schedule_requests"));
     std::size_t admitted = inFlight_.fetch_add(1) + 1;
-    inflightGauge_->store(static_cast<std::int64_t>(admitted),
-                          std::memory_order_relaxed);
     // Send the reply, record the reply phase and the request's total
     // latency into @p outcome (plus the .all histogram), and release
     // the in-flight slot — the shared tail of every early-return
@@ -580,7 +565,7 @@ ScheduleServer::handleRequest(
         // Checked after the increment: if stop() flipped draining_
         // first, its drain wait now holds until this reply is out; if
         // the increment won, the submit below beats the drain.
-        metrics_.counters().bump("serve.shutting_down");
+        metrics_.bump(counter("serve.shutting_down"));
         response.status = ResponseStatus::ShuttingDown;
         response.message = "server is draining";
         replyAndFinish(nullptr);
@@ -589,7 +574,7 @@ ScheduleServer::handleRequest(
     if (request.deadlineMs < 0) {
         // Already expired on arrival: the deadline path must not cost
         // any scheduling work (tests drive it with deadlineMs = -1).
-        metrics_.counters().bump("serve.deadline_expired");
+        metrics_.bump(counter("serve.deadline_expired"));
         response.status = ResponseStatus::DeadlineExceeded;
         response.message = "deadline expired before scheduling";
         replyAndFinish(latencyDeadline_);
@@ -621,31 +606,31 @@ ScheduleServer::handleRequest(
     // response, for this lookup.
     if (std::shared_ptr<const JobResult> hit =
             pipeline_.probeCached(key)) {
-        metrics_.counters().bump("serve.fast_path_hits");
+        metrics_.bump(counter("serve.fast_path_hits"));
         summarizeResult(*hit, &response);
         response.cacheHit = true;
         response.wallMs = std::chrono::duration<double, std::milli>(
                               Clock::now() - probeStart)
                               .count();
         if (!hit->success) {
-            metrics_.counters().bump("serve.errors");
+            metrics_.bump(counter("serve.errors"));
             response.status = ResponseStatus::Error;
             response.message = hit->sched.failure;
         } else {
-            metrics_.counters().bump("serve.ok");
+            metrics_.bump(counter("serve.ok"));
             response.status = ResponseStatus::Ok;
         }
         phaseAdmit_->record(elapsedUs(decoded, Clock::now()));
         replyAndFinish(latencyWarm_);
         return;
     }
-    metrics_.counters().bump("serve.fast_path_misses");
+    metrics_.bump(counter("serve.fast_path_misses"));
 
     // Admission control: a bounded in-flight count is the whole
     // policy — cheap, and overload is visible to the client instead
     // of buried in a queue.
     if (admitted > config_.maxInFlight) {
-        metrics_.counters().bump("serve.rejected_overload");
+        metrics_.bump(counter("serve.rejected_overload"));
         response.status = ResponseStatus::RejectedOverload;
         response.message = "in-flight limit reached, retry later";
         replyAndFinish(latencyOverload_);
@@ -692,15 +677,15 @@ ScheduleServer::handleRequest(
             reply.serverRequestId = state->serverRequestId;
             summarizeResult(result, &reply);
             if (result.cancelled) {
-                metrics_.counters().bump("serve.deadline_preempted");
+                metrics_.bump(counter("serve.deadline_preempted"));
                 reply.status = ResponseStatus::DeadlineExceeded;
                 reply.message = "deadline expired during scheduling";
             } else if (!result.success) {
-                metrics_.counters().bump("serve.errors");
+                metrics_.bump(counter("serve.errors"));
                 reply.status = ResponseStatus::Error;
                 reply.message = result.sched.failure;
             } else {
-                metrics_.counters().bump("serve.ok");
+                metrics_.bump(counter("serve.ok"));
                 reply.status = ResponseStatus::Ok;
             }
             // Phase split: wallMs is the pure scheduling time the
@@ -726,7 +711,7 @@ ScheduleServer::handleRequest(
             finishRequest();
         });
     if (!submitted) {
-        metrics_.counters().bump("serve.shutting_down");
+        metrics_.bump(counter("serve.shutting_down"));
         response.status = ResponseStatus::ShuttingDown;
         response.message = "server is draining";
         replyAndFinish(nullptr);
@@ -737,8 +722,6 @@ void
 ScheduleServer::finishRequest()
 {
     std::size_t remaining = inFlight_.fetch_sub(1) - 1;
-    inflightGauge_->store(static_cast<std::int64_t>(remaining),
-                          std::memory_order_relaxed);
     if (remaining == 0) {
         std::lock_guard<std::mutex> lock(drainMutex_);
         drainCv_.notify_all();
@@ -760,10 +743,10 @@ ScheduleServer::sendResponse(const std::shared_ptr<Connection> &conn,
         return false;
     if (!writeFrame(conn->fd, payload)) {
         conn->open.store(false);
-        metrics_.counters().bump("serve.write_errors");
+        metrics_.bump(counter("serve.write_errors"));
         return false;
     }
-    metrics_.counters().bump("serve.frames_out");
+    metrics_.bump(counter("serve.frames_out"));
     return true;
 }
 
@@ -835,7 +818,7 @@ ScheduleServer::startWatch(const std::shared_ptr<Connection> &conn,
     auto now = std::chrono::steady_clock::now();
     sub->nextDue = now; // first frame immediately (it is the ack)
     sub->prevTime = now;
-    sub->prevRequests = metrics_.counters().get("serve.requests");
+    sub->prevRequests = metrics_.counters().get(counter("serve.requests"));
     {
         std::lock_guard<std::mutex> lock(watchMutex_);
         if (watchStop_)
@@ -849,8 +832,8 @@ std::string
 ScheduleServer::watchFrameJson(WatchSubscription &sub)
 {
     auto now = std::chrono::steady_clock::now();
-    const CounterSet &counters = metrics_.counters();
-    std::uint64_t requests = counters.get("serve.requests");
+    const CounterSet counters = metrics_.counters();
+    std::uint64_t requests = counters.get(counter("serve.requests"));
     double dt = std::chrono::duration<double>(now - sub.prevTime)
                     .count();
     double reqPerS =
@@ -858,8 +841,9 @@ ScheduleServer::watchFrameJson(WatchSubscription &sub)
                  : 0.0;
     sub.prevRequests = requests;
     sub.prevTime = now;
-    std::uint64_t warmHits = counters.get("serve.fast_path_hits");
-    std::uint64_t warmMisses = counters.get("serve.fast_path_misses");
+    std::uint64_t warmHits = counters.get(counter("serve.fast_path_hits"));
+    std::uint64_t warmMisses =
+        counters.get(counter("serve.fast_path_misses"));
     double hitRate =
         warmHits + warmMisses
             ? static_cast<double>(warmHits) /
@@ -878,8 +862,8 @@ ScheduleServer::watchFrameJson(WatchSubscription &sub)
        << ",\"interval_ms\":" << sub.interval.count()
        << ",\"requests_total\":" << requests
        << ",\"req_per_s\":" << reqPerS
-       << ",\"ok_total\":" << counters.get("serve.ok")
-       << ",\"errors_total\":" << counters.get("serve.errors")
+       << ",\"ok_total\":" << counters.get(counter("serve.ok"))
+       << ",\"errors_total\":" << counters.get(counter("serve.errors"))
        << ",\"inflight\":" << inFlight_.load()
        << ",\"warm_hits_total\":" << warmHits
        << ",\"hit_rate\":" << hitRate
@@ -951,13 +935,10 @@ ScheduleServer::counterSnapshot() const
 {
     CounterSet out = metrics_.counters();
     out.merge(pipeline_.statsSnapshot());
-    addPrefixed(out, "serve.request_memo.", toCounterSet(memo_.stats()));
-    addPrefixed(out, "cache.memory.",
-                toCounterSet(pipeline_.cache().stats()));
-    addPrefixed(out, "cache.disk.",
-                toCounterSet(pipeline_.cache().diskStats()));
-    addPrefixed(out, "context.",
-                toCounterSet(pipeline_.contextCache().stats()));
+    memo_.stats().addTo(out);
+    pipeline_.cache().stats().addTo(out);
+    out.merge(pipeline_.cache().diskCounters());
+    pipeline_.contextCache().stats().addTo(out);
     return out;
 }
 
@@ -981,45 +962,22 @@ ScheduleServer::writeTelemetryFields(std::ostream &os) const
 std::string
 ScheduleServer::statsJson() const
 {
-    ScheduleCache::Stats memory = pipeline_.cache().stats();
-    PersistentScheduleCache::DiskStats disk =
-        pipeline_.cache().diskStats();
-    CounterSet pipelineStats = pipeline_.statsSnapshot();
-    CounterSet serveStats = metrics_.counters();
-    addPrefixed(serveStats, "serve.request_memo.",
-                toCounterSet(memo_.stats()));
-
-    static const char *const kServeCounters[] = {
-        "serve.requests",         "serve.schedule_requests",
-        "serve.fast_path_hits",   "serve.fast_path_misses",
-        "serve.ok",               "serve.errors",
-        "serve.rejected_overload", "serve.deadline_preempted",
-        "serve.deadline_expired", "serve.shutting_down",
-        "serve.bad_requests",     "serve.pings",
-        "serve.stats_requests",   "serve.connections",
-        "serve.frames_in",        "serve.frames_out",
-        "serve.write_errors",     "serve.watch_requests",
-        "serve.request_memo.hits", "serve.request_memo.misses",
-        "serve.request_memo.entries", "serve.request_memo.bytes",
-    };
-    static const char *const kPipelineCounters[] = {
-        "pipeline.jobs",      "pipeline.cache_hits",
-        "pipeline.cache_misses", "pipeline.dedup_joins",
-        "pipeline.failures",  "pipeline.cancelled",
-    };
-
+    static constexpr auto kPipelineCounters = counters(
+        "pipeline.", {"jobs", "cache_hits", "cache_misses", "dedup_joins",
+                      "failures", "cancelled"});
+    CounterSet all = counterSnapshot();
     std::ostringstream os;
     os << "{\"serve\":";
-    writeCounterObject(os, serveStats, kServeCounters);
+    writeCounterObject(os, all, counterGroup("serve."));
     os << ",\"pipeline\":";
-    writeCounterObject(os, pipelineStats, kPipelineCounters);
+    writeCounterObject(os, all, kPipelineCounters);
     os << ",\"cache\":{\"memory\":";
-    writeCounterObject(os, toCounterSet(memory), kMemoryCacheCounters);
+    writeCounterObject(os, all, counterGroup("cache.memory."),
+                       "cache.memory.");
     os << ",\"disk\":";
-    writeCounterObject(os, toCounterSet(disk), kDiskCacheCounters);
+    writeCounterObject(os, all, counterGroup("cache.disk."), "cache.disk.");
     os << ",\"context\":";
-    writeCounterObject(os, toCounterSet(pipeline_.contextCache().stats()),
-                       kContextCacheCounters);
+    writeCounterObject(os, all, counterGroup("context."), "context.");
     os << "}}";
     return os.str();
 }

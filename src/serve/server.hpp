@@ -123,7 +123,8 @@ class RequestMemo
      *  most @p maxBytes of body bytes in total. */
     RequestMemo(std::size_t capacity, std::size_t maxBytes);
 
-    /** The key memoized for @p body, if any; counts a hit or a miss. */
+    /** The key memoized for @p body, if any (the server counts the
+     *  serve.request_memo.hits and .misses). */
     std::optional<std::uint64_t> find(std::span<const std::uint8_t> body);
 
     /**
@@ -135,10 +136,11 @@ class RequestMemo
 
     struct Stats
     {
-        std::uint64_t hits = 0;
-        std::uint64_t misses = 0;
         std::size_t entries = 0;
         std::size_t bytes = 0;
+
+        /** Add these as the serve.request_memo.* counters of @p out. */
+        void addTo(CounterSet &out) const;
     };
 
     Stats stats() const;
@@ -159,17 +161,7 @@ class RequestMemo
     /** Body hash -> its entry; one entry per hash. */
     std::unordered_map<std::size_t, std::list<Entry>::iterator> index_;
     std::size_t bytes_ = 0;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
 };
-
-/** Canonical key order for emitting RequestMemo::Stats. */
-inline constexpr const char *kRequestMemoCounters[] = {
-    "hits", "misses", "entries", "bytes",
-};
-
-/** Stats as a CounterSet for the shared JSON emitters. */
-CounterSet toCounterSet(const RequestMemo::Stats &stats);
 
 /**
  * The daemon. start() binds and spawns the service threads; stop()
@@ -207,12 +199,9 @@ class ScheduleServer
     std::string statsJson() const;
 
     /**
-     * One flat CounterSet across the whole server, for the telemetry
-     * sampler: the serve.* counters, the request memo as
-     * serve.request_memo.*, the pipeline counters, and the cache tiers
-     * prefixed as cache.memory.* / cache.disk.* / context.* (the tiers
-     * share counter names, so the prefixes keep the merge
-     * collision-free).
+     * Every counter of the server, for the stats response and the
+     * telemetry sampler: serve.*, the pipeline's, and the memo's and
+     * cache tiers' (cache.memory.*, cache.disk.*, context.*).
      */
     CounterSet counterSnapshot() const;
 
@@ -310,9 +299,9 @@ class ScheduleServer
     RequestMemo memo_;
     MetricsRegistry metrics_;
 
-    // Lifecycle histograms and the in-flight gauge, resolved once in
-    // the constructor (stable addresses) so the request paths record
-    // without touching the registry lock.
+    // Lifecycle histograms, resolved once in the constructor (stable
+    // addresses) so the request paths record without touching the
+    // registry lock.
     StreamingHistogram *latencyAll_;
     StreamingHistogram *latencyWarm_;
     StreamingHistogram *latencyDispatched_;
@@ -323,7 +312,6 @@ class ScheduleServer
     StreamingHistogram *phaseQueue_;
     StreamingHistogram *phaseSchedule_;
     StreamingHistogram *phaseReply_;
-    std::atomic<std::int64_t> *inflightGauge_;
 
     /** Lifecycle ids; 0 is reserved for "never entered the server". */
     std::atomic<std::uint64_t> nextServerRequestId_{1};

@@ -1,9 +1,9 @@
 #include "support/metrics.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <ostream>
-#include <vector>
+
+#include "support/logging.hpp"
 
 namespace cs {
 
@@ -51,7 +51,7 @@ void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
     os << "{\"counters\":";
-    writeAllCounters(os, counters_);
+    writeAllCounters(os, counters());
     os << ",\"streaming\":{";
     bool first = true;
     for (const auto &[name, snapshot] : streamingSnapshot()) {
@@ -97,22 +97,23 @@ writeJsonQuoted(std::ostream &os, const std::string &s)
 }
 
 void
-writeCounterObject(std::ostream &os, const CounterSet &stats,
-                   const char *const *names, std::size_t count)
+writeCounterFields(std::ostream &os, const CounterSet &stats,
+                   std::span<const CounterId> ids, std::string_view strip)
 {
-    // Sort a copy of the name list so the byte layout depends only on
-    // the name set, never on call-site declaration order.
-    std::vector<const char *> sorted(names, names + count);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const char *a, const char *b) {
-                  return std::strcmp(a, b) < 0;
-              });
-    os << "{";
-    for (std::size_t i = 0; i < sorted.size(); ++i) {
-        if (i)
-            os << ",";
-        os << "\"" << sorted[i] << "\":" << stats.get(sorted[i]);
+    CS_ASSERT(std::is_sorted(ids.begin(), ids.end()),
+              "counter fields must be listed in name order");
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        os << (i ? ",\"" : "\"") << counterName(ids[i]).substr(strip.size())
+           << "\":" << stats.get(ids[i]);
     }
+}
+
+void
+writeCounterObject(std::ostream &os, const CounterSet &stats,
+                   std::span<const CounterId> ids, std::string_view strip)
+{
+    os << "{";
+    writeCounterFields(os, stats, ids, strip);
     os << "}";
 }
 
@@ -130,12 +131,9 @@ writeAllCounters(std::ostream &os, const CounterSet &stats)
 {
     os << "{";
     bool first = true;
-    stats.forEach([&](const std::string &name, std::uint64_t value) {
-        if (!first)
-            os << ",";
+    stats.forEach([&](std::string_view name, std::uint64_t value) {
+        os << (first ? "\"" : ",\"") << name << "\":" << value;
         first = false;
-        writeJsonQuoted(os, name);
-        os << ":" << value;
     });
     os << "}";
 }

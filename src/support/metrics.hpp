@@ -1,16 +1,17 @@
 /**
  * @file
  * Unified metrics surface for the front-ends and benches: one
- * registry holding named counters (a CounterSet), streaming
- * histograms and gauges behind a single snapshot/JSON API, plus the
- * low-level JSON writers the front-ends use so nobody hand-rolls
- * stats blocks.
+ * registry holding the shared counters (a SharedCounterSet),
+ * streaming histograms and gauges behind a single snapshot/JSON API,
+ * plus the low-level JSON writers the front-ends use so nobody
+ * hand-rolls stats blocks.
  *
- * Counters are monotonically increasing integers ("ops_scheduled").
- * Streaming histograms (support/histogram.hpp) hold sample
+ * Counters are monotonically increasing integers declared in
+ * support/stats.hpp ("serve.requests"), bumped with relaxed atomic
+ * adds. Streaming histograms (support/histogram.hpp) hold sample
  * distributions in a fixed footprint: wait-free to record,
  * snapshot-able from a sampler thread while workers keep recording.
- * Gauges are point-in-time signed levels ("serve.inflight") read and
+ * Gauges are point-in-time signed levels ("queue.depth") read and
  * written atomically.
  */
 
@@ -24,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "support/histogram.hpp"
 #include "support/stats.hpp"
@@ -33,10 +35,14 @@ namespace cs {
 class MetricsRegistry
 {
   public:
-    /** The counter side; bump via counters().bump(...) or merge a
-     * scheduler's CounterSet in wholesale. */
-    CounterSet &counters() { return counters_; }
-    const CounterSet &counters() const { return counters_; }
+    /** Bump a shared counter; safe from any thread. */
+    void bump(CounterId id, std::uint64_t d = 1) { counters_.bump(id, d); }
+
+    /** Add a whole set in, such as a pipeline's totals. */
+    void merge(const CounterSet &set) { counters_.merge(set); }
+
+    /** Snapshot of the shared counters. */
+    CounterSet counters() const { return counters_.snapshot(); }
 
     /**
      * Named streaming histogram, created on first use. The reference
@@ -69,7 +75,7 @@ class MetricsRegistry
     void writeJson(std::ostream &os) const;
 
   private:
-    CounterSet counters_;
+    SharedCounterSet counters_;
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<StreamingHistogram>>
         streaming_;
@@ -81,26 +87,22 @@ class MetricsRegistry
 void writeJsonQuoted(std::ostream &os, const std::string &s);
 
 /**
- * Write the named counters of @p stats as a JSON object in sorted
- * key order: {"a":1,"b":2}. Absent counters print as 0. Sorting is
- * deliberate: every call site (cs_serve statsJson, cs_batch/cs_sweep
- * --json) emits the same byte layout for the same name set regardless
- * of the order the caller listed them in, so diffs of stats dumps
- * never churn on emission order. Pinned by
+ * Write counters @p ids (in name order, as counterGroup() and
+ * counters() give them) as `"name":value` JSON fields, each name less
+ * its leading @p strip; unlisted ones print 0. Pinned by
  * MetricsJson.CounterObjectSortsKeys.
  */
+void writeCounterFields(std::ostream &os, const CounterSet &stats,
+                        std::span<const CounterId> ids,
+                        std::string_view strip = {});
+
+/** writeCounterFields as one JSON object: {"a":1,"b":2}. */
 void writeCounterObject(std::ostream &os, const CounterSet &stats,
-                        const char *const *names, std::size_t count);
+                        std::span<const CounterId> ids,
+                        std::string_view strip = {});
 
-template <std::size_t N>
-void
-writeCounterObject(std::ostream &os, const CounterSet &stats,
-                   const char *const (&names)[N])
-{
-    writeCounterObject(os, stats, names, N);
-}
-
-/** Write every counter of @p stats, in name order, as a JSON object. */
+/** Write every listed counter of @p stats, in name order, as a JSON
+ *  object keyed by the full names. */
 void writeAllCounters(std::ostream &os, const CounterSet &stats);
 
 /**

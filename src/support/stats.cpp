@@ -45,62 +45,50 @@ maxOf(const std::vector<double> &values)
     return *std::max_element(values.begin(), values.end());
 }
 
-CounterSet::CounterSet(const CounterSet &other)
+std::optional<CounterId>
+findCounter(std::string_view name)
 {
-    std::lock_guard<std::mutex> lock(other.mutex_);
-    counters_ = other.counters_;
-}
-
-CounterSet &
-CounterSet::operator=(const CounterSet &other)
-{
-    if (this == &other)
-        return *this;
-    // scoped_lock's deadlock-avoiding acquisition covers two threads
-    // assigning in opposite directions.
-    std::scoped_lock lock(mutex_, other.mutex_);
-    counters_ = other.counters_;
-    return *this;
-}
-
-void
-CounterSet::bump(const std::string &name, std::uint64_t delta)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_[name] += delta;
+    const auto *it = std::ranges::lower_bound(kCounterNames, name);
+    if (it == std::end(kCounterNames) || *it != name)
+        return std::nullopt;
+    return static_cast<CounterId>(it - std::begin(kCounterNames));
 }
 
 std::uint64_t
-CounterSet::get(const std::string &name) const
+CounterSet::get(std::string_view name) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second;
+    std::optional<CounterId> id = findCounter(name);
+    return id ? get(*id) : 0;
 }
 
 void
 CounterSet::merge(const CounterSet &other)
 {
-    // Copy first so self-merge and opposite-direction merges cannot
-    // deadlock on the two locks.
-    std::map<std::string, std::uint64_t> theirs = other.snapshot();
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, value] : theirs)
-        counters_[name] += value;
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        values_[i] += other.values_[i];
+    zeroListed_ |= other.zeroListed_;
 }
 
 void
-CounterSet::clear()
+SharedCounterSet::merge(const CounterSet &set)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.clear();
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        if (set.values_[i] != 0)
+            values_[i].fetch_add(set.values_[i], std::memory_order_relaxed);
+        if (set.zeroListed_.test(i))
+            zeroListed_[i].store(true, std::memory_order_relaxed);
+    }
 }
 
-std::map<std::string, std::uint64_t>
-CounterSet::snapshot() const
+CounterSet
+SharedCounterSet::snapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    CounterSet out;
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        out.values_[i] = values_[i].load(std::memory_order_relaxed);
+        out.zeroListed_[i] = zeroListed_[i].load(std::memory_order_relaxed);
+    }
+    return out;
 }
 
 } // namespace cs

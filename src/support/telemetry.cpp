@@ -41,7 +41,7 @@ TelemetrySampler::start(const TelemetryConfig &config,
     extra_ = std::move(extra);
     stop_ = false;
     seq_ = 0;
-    previous_.clear();
+    previous_ = CounterSet();
     start_ = std::chrono::steady_clock::now();
     thread_ = std::thread([this] { loop(); });
     return true;
@@ -85,32 +85,26 @@ TelemetrySampler::writeSample()
                    now - start_)
                    .count();
     CounterSet counters = counters_ ? counters_() : CounterSet();
-    std::map<std::string, std::uint64_t> current;
-    counters.forEach([&](const std::string &name, std::uint64_t value) {
-        current.emplace(name, value);
-    });
 
     out_ << "{\"seq\":" << seq_++ << ",\"t_ms\":" << tMs
          << ",\"rss_kb\":" << readRssKb() << ",\"counters\":";
     writeAllCounters(out_, counters);
     out_ << ",\"deltas\":{";
     bool first = true;
-    for (const auto &[name, value] : current) {
-        auto it = previous_.find(name);
-        std::uint64_t before = it == previous_.end() ? 0 : it->second;
-        if (value == before)
+    for (CounterId id : kAllCounters) {
+        std::uint64_t value = counters.get(id);
+        std::uint64_t before = previous_.get(id);
+        if (!counters.listed(id) || value == before)
             continue;
-        if (!first)
-            out_ << ",";
+        out_ << (first ? "\"" : ",\"") << counterName(id) << "\":";
         first = false;
-        writeJsonQuoted(out_, name);
         // Counters are monotone in practice, but a snapshot race can
         // present a transient decrease; clamp at 0 so deltas stay
         // non-negative.
-        out_ << ":" << (value > before ? value - before : 0);
+        out_ << (value > before ? value - before : 0);
     }
     out_ << "}";
-    previous_ = std::move(current);
+    previous_ = counters;
     if (extra_)
         extra_(out_);
     out_ << "}\n" << std::flush;

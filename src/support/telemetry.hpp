@@ -18,8 +18,8 @@
  * cs_batch, and cs_sweep alike; the optional extras closure appends
  * leading-comma JSON fields for owner-specific state. Both closures
  * run on the sampler thread — they must be safe to call concurrently
- * with the workers (CounterSet snapshots and the registry's streaming
- * histograms are).
+ * with the workers (SharedCounterSet snapshots and the registry's
+ * streaming histograms are).
  *
  * Shutdown contract: stop() (and the destructor) wakes the thread,
  * writes one final sample, flushes, and joins — the last line of the
@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <fstream>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -94,7 +93,7 @@ class TelemetrySampler
     std::thread thread_;
     std::uint64_t seq_ = 0;
     std::chrono::steady_clock::time_point start_;
-    std::map<std::string, std::uint64_t> previous_;
+    CounterSet previous_;
 };
 
 } // namespace cs

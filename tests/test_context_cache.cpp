@@ -137,9 +137,11 @@ TEST(ContextCache, CounterEmitterMatchesHandCounts)
     stats.evictions = 2;
     stats.entries = 1;
     stats.capacity = 8;
+    CounterSet set;
+    stats.addTo(set);
     std::ostringstream json;
-    writeCounterObject(json, toCounterSet(stats), kContextCacheCounters);
-    // Keys come out sorted regardless of the name-array order
+    writeCounterObject(json, set, counterGroup("context."), "context.");
+    // Keys come out in name order, the prefix stripped
     // (writeCounterObject's contract; pinned again by
     // MetricsJson.CounterObjectSortsKeys).
     EXPECT_EQ(json.str(),

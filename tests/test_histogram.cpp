@@ -208,16 +208,26 @@ TEST(HistogramRegistry, NamedInstancesAreStableAndDumped)
 TEST(MetricsJson, CounterObjectSortsKeys)
 {
     // Pin: writeCounterObject emits sorted key order no matter how
-    // the name array is ordered, so counter dumps diff cleanly across
-    // front-ends and versions.
-    CounterSet counters;
-    counters.bump("zeta", 1);
-    counters.bump("alpha", 2);
-    counters.bump("mid", 3);
-    static const char *const kNames[] = {"zeta", "mid", "alpha"};
+    // the call site lists the names, so counter dumps diff cleanly
+    // across front-ends and versions.
+    CounterSet stats;
+    stats.bump(counter("table_releases"), 1);
+    stats.bump(counter("copies_inserted"), 2);
+    stats.bump(counter("ops_scheduled"), 3);
+    static constexpr auto kNames = counters(
+        {}, {"table_releases", "ops_scheduled", "copies_inserted"});
     std::ostringstream json;
-    writeCounterObject(json, counters, kNames);
-    EXPECT_EQ(json.str(), "{\"alpha\":2,\"mid\":3,\"zeta\":1}");
+    writeCounterObject(json, stats, kNames);
+    EXPECT_EQ(json.str(), "{\"copies_inserted\":2,\"ops_scheduled\":3,"
+                          "\"table_releases\":1}");
+
+    // A stripped prefix keys the object by the rest of each name.
+    static constexpr auto kPipeline =
+        counters("pipeline.", {"jobs", "cache_hits"});
+    stats.bump(counter("pipeline.jobs"), 4);
+    std::ostringstream stripped;
+    writeCounterObject(stripped, stats, kPipeline, "pipeline.");
+    EXPECT_EQ(stripped.str(), "{\"cache_hits\":0,\"jobs\":4}");
 }
 
 } // namespace

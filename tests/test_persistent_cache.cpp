@@ -5,11 +5,12 @@
  * corrupt records degrade to truncation or a miss, never a crash),
  * duplicate-key last-wins semantics, the shared cache-counter JSON
  * emitters, and round-trip + fuzz coverage of the JobResult codec the
- * shard records are built from.
+ * shard records are built from, records of older builds included.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/builder.hpp"
 #include "kernels/kernels.hpp"
 #include "machine/builders.hpp"
 #include "pipeline/persistent_cache.hpp"
@@ -32,6 +34,10 @@ namespace cs {
 namespace {
 
 namespace fs = std::filesystem;
+
+#ifndef CS_TEST_DATA_DIR
+#define CS_TEST_DATA_DIR "."
+#endif
 
 /** Fresh empty shard directory under the test's temp root. */
 std::string
@@ -564,31 +570,41 @@ TEST(CacheCounterEmitters, SharedWritersMatchHandCounts)
     memory.evictions = 1;
     memory.entries = 4;
     memory.capacity = 16;
-    CounterSet memorySet = toCounterSet(memory);
+    CounterSet memorySet;
+    memory.addTo(memorySet);
     std::ostringstream memoryJson;
-    writeCounterObject(memoryJson, memorySet, kMemoryCacheCounters);
+    writeCounterObject(memoryJson, memorySet, counterGroup("cache.memory."),
+                       "cache.memory.");
     // writeCounterObject emits sorted key order everywhere.
     EXPECT_EQ(memoryJson.str(),
               "{\"capacity\":16,\"entries\":4,\"evictions\":1,"
               "\"hits\":3,\"misses\":2}");
 
-    PersistentScheduleCache::DiskStats disk;
-    disk.loadedEntries = 7;
-    disk.truncatedBytes = 24;
-    disk.footerLoads = 3;
-    disk.scanLoads = 1;
-    disk.ownedShards = 4;
-    disk.hits = 5;
-    disk.misses = 1;
-    disk.readErrors = 1;
-    disk.writes = 9;
-    disk.writeErrors = 0;
-    disk.droppedReadOnly = 2;
-    disk.remaps = 6;
-    disk.ownershipPromotions = 1;
-    CounterSet diskSet = toCounterSet(disk);
+    // The disk tier counts in cache.disk.* directly; a memory-only
+    // cache still lists every one, at 0.
+    std::vector<std::string> listed;
+    PersistentScheduleCache(4, "").diskCounters().forEach(
+        [&listed](std::string_view name, std::uint64_t value) {
+            EXPECT_EQ(value, 0u) << name;
+            listed.emplace_back(name);
+        });
+    EXPECT_EQ(listed.size(), counterGroup("cache.disk.").size());
+    CounterSet diskSet;
+    diskSet.bump(counter("cache.disk.loaded_entries"), 7);
+    diskSet.bump(counter("cache.disk.truncated_bytes"), 24);
+    diskSet.bump(counter("cache.disk.footer_loads"), 3);
+    diskSet.bump(counter("cache.disk.scan_loads"), 1);
+    diskSet.bump(counter("cache.disk.owned_shards"), 4);
+    diskSet.bump(counter("cache.disk.hits"), 5);
+    diskSet.bump(counter("cache.disk.misses"), 1);
+    diskSet.bump(counter("cache.disk.read_errors"), 1);
+    diskSet.bump(counter("cache.disk.writes"), 9);
+    diskSet.bump(counter("cache.disk.dropped_read_only"), 2);
+    diskSet.bump(counter("cache.disk.remaps"), 6);
+    diskSet.bump(counter("cache.disk.ownership_promotions"), 1);
     std::ostringstream diskJson;
-    writeCounterObject(diskJson, diskSet, kDiskCacheCounters);
+    writeCounterObject(diskJson, diskSet, counterGroup("cache.disk."),
+                       "cache.disk.");
     EXPECT_EQ(diskJson.str(),
               "{\"dropped_read_only\":2,\"footer_loads\":3,"
               "\"hits\":5,\"loaded_entries\":7,\"misses\":1,"
@@ -622,6 +638,117 @@ TEST(ResultIo, RoundTripPreservesEveryField)
     wire::ByteWriter rewriter(again);
     encodeJobResult(rewriter, decoded);
     EXPECT_EQ(again, bytes);
+}
+
+/** Every listed counter of @p stats, in name order. */
+std::vector<std::pair<std::string, std::uint64_t>>
+listedCounters(const CounterSet &stats)
+{
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    stats.forEach([&out](std::string_view name, std::uint64_t value) {
+        out.emplace_back(name, value);
+    });
+    return out;
+}
+
+/** The Figure-4 motivating kernel block-scheduled on the Figure-5
+ *  machine, as tests/result_record_v1.hex holds it (wallMs zeroed). */
+JobResult
+figure4Result()
+{
+    KernelBuilder b("figure4");
+    b.block("body");
+    Val bb = b.iadd(1, 2, "b");
+    Val aa = b.load(100, 0, "a");
+    Val cc = b.iadd(3, 4, "c");
+    Val t = b.iadd(aa, bb, "t");
+    Val u = b.iadd(aa, cc, "u");
+    b.store(200, t);
+    b.store(201, u);
+    static Machine machine = makeFigure5Machine();
+    ScheduleJob job;
+    job.label = "figure4";
+    job.kernel = b.take();
+    job.block = BlockId(0);
+    job.machine = &machine;
+    job.pipelined = false;
+    JobResult result = runScheduleJob(job);
+    result.wallMs = 0.0;
+    return result;
+}
+
+std::vector<std::uint8_t>
+encodeRecord(const JobResult &result)
+{
+    std::vector<std::uint8_t> bytes;
+    wire::ByteWriter writer(bytes);
+    encodeJobResult(writer, result);
+    return bytes;
+}
+
+TEST(ResultIo, DecodesRecordsWithRetiredCounters)
+{
+    // A record encoded before comm_sched_calls and
+    // comm_sched_rejections were retired ('#' lines are comments).
+    std::ifstream in(std::string(CS_TEST_DATA_DIR) +
+                     "/result_record_v1.hex");
+    ASSERT_TRUE(in) << "missing tests/result_record_v1.hex";
+    std::string hex;
+    for (std::string line; std::getline(in, line);) {
+        if (!line.empty() && line[0] != '#')
+            hex += line;
+    }
+    std::vector<std::uint8_t> bytes;
+    for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+        bytes.push_back(static_cast<std::uint8_t>(
+            std::stoul(hex.substr(i, 2), nullptr, 16)));
+    }
+    std::string raw(bytes.begin(), bytes.end());
+    ASSERT_NE(raw.find("comm_sched_calls"), std::string::npos);
+    ASSERT_NE(raw.find("comm_sched_rejections"), std::string::npos);
+
+    wire::ByteReader reader(bytes);
+    JobResult decoded;
+    ASSERT_TRUE(decodeJobResult(reader, &decoded)) << reader.error();
+    EXPECT_TRUE(reader.atEnd());
+
+    // The retired names are skipped; every surviving counter, and the
+    // schedule, equal a fresh run's.
+    JobResult fresh = figure4Result();
+    ASSERT_TRUE(fresh.success);
+    EXPECT_EQ(decoded.listing, fresh.listing);
+    EXPECT_EQ(listedCounters(decoded.sched.stats),
+              listedCounters(fresh.sched.stats));
+    EXPECT_GT(decoded.sched.stats.get("placement_attempts"), 0u);
+
+    // Re-encoded, the old record is the fresh one byte for byte: the
+    // format is unchanged but for the two retired names.
+    EXPECT_EQ(encodeRecord(decoded), encodeRecord(fresh));
+}
+
+TEST(ResultIo, SkipsUndeclaredCounterNames)
+{
+    // Rename dfs_nodes in place to a name no build declares; the same
+    // length keeps the record well-formed.
+    std::vector<std::uint8_t> bytes = encodeRecord(*sampleResult());
+    const std::string from = "dfs_nodes";
+    const std::string to = "xfs_nodes";
+    auto at = std::search(bytes.begin(), bytes.end(), from.begin(),
+                          from.end());
+    ASSERT_NE(at, bytes.end());
+    std::copy(to.begin(), to.end(), at);
+
+    wire::ByteReader reader(bytes);
+    JobResult decoded;
+    ASSERT_TRUE(decodeJobResult(reader, &decoded)) << reader.error();
+    EXPECT_TRUE(reader.atEnd());
+    EXPECT_EQ(decoded.listing, sampleResult()->listing);
+    EXPECT_GT(sampleResult()->sched.stats.get("dfs_nodes"), 0u);
+    EXPECT_EQ(decoded.sched.stats.get("dfs_nodes"), 0u);
+    CounterSet expected = sampleResult()->sched.stats;
+    expected[counter("dfs_nodes")] = 0;
+    EXPECT_EQ(listedCounters(decoded.sched.stats),
+              listedCounters(expected));
 }
 
 TEST(ResultIo, TruncatedAndFlippedRecordsNeverCrash)

@@ -4,17 +4,20 @@
  * Table-1 kernels, content-addressed cache semantics (hit on repeat,
  * miss after an option change, LRU eviction, repeat-batch hit rate),
  * graceful thread-pool shutdown with work still queued, and the
- * thread-safety of the shared CounterSet.
+ * counters: the shared set's thread safety, the listing rule, and
+ * name lookup.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -381,67 +384,141 @@ TEST(ThreadPool, WaitIdleSeesQuiescentPool)
 
 TEST(CounterSet, ConcurrentBumpsSumExactly)
 {
-    CounterSet stats;
+    SharedCounterSet stats;
     constexpr int kThreads = 8;
     constexpr int kBumps = 5000;
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&stats] {
             for (int i = 0; i < kBumps; ++i)
-                stats.bump("shared");
+                stats.bump(counter("serve.requests"));
         });
     }
     for (std::thread &t : threads)
         t.join();
-    EXPECT_EQ(stats.get("shared"),
+    EXPECT_EQ(stats.snapshot().get(counter("serve.requests")),
               static_cast<std::uint64_t>(kThreads) * kBumps);
 
     CounterSet merged;
-    merged.merge(stats);
-    merged.merge(stats);
-    EXPECT_EQ(merged.snapshot().at("shared"),
-              2ull * kThreads * kBumps);
+    merged.merge(stats.snapshot());
+    merged.merge(stats.snapshot());
+    EXPECT_EQ(merged.get("serve.requests"), 2ull * kThreads * kBumps);
 }
 
 TEST(CounterSet, ForEachVisitsEveryCounter)
 {
     CounterSet stats;
-    stats.bump("a", 1);
-    stats.bump("b", 2);
-    stats.bump("c", 3);
-    std::map<std::string, std::uint64_t> seen;
-    stats.forEach([&seen](const std::string &name,
-                          std::uint64_t value) { seen[name] = value; });
-    EXPECT_EQ(seen, stats.snapshot());
+    stats.bump(counter("ops_scheduled"), 3);
+    stats.bump(counter("copies_inserted"), 1);
+    stats.bump(counter("dfs_nodes"), 2);
+    std::vector<std::pair<std::string, std::uint64_t>> seen;
+    stats.forEach([&seen](std::string_view name, std::uint64_t value) {
+        seen.emplace_back(name, value);
+    });
+    // Every listed counter once, in name order.
+    std::vector<std::pair<std::string, std::uint64_t>> expected = {
+        {"copies_inserted", 1}, {"dfs_nodes", 2}, {"ops_scheduled", 3}};
+    EXPECT_EQ(seen, expected);
     EXPECT_EQ(seen.size(), 3u);
-    EXPECT_EQ(seen.at("b"), 2u);
+    EXPECT_EQ(stats.get("dfs_nodes"), 2u);
 }
 
 TEST(CounterSet, ForEachRacesWithWriters)
 {
-    // forEach iterates under the set's own lock, so it must be safe
+    // Snapshots read the shared set's atomics, so they must be safe
     // against concurrent bumps (the TSan build pins this).
-    CounterSet stats;
+    SharedCounterSet stats;
     std::atomic<bool> stop{false};
     std::thread writer([&] {
-        int i = 0;
+        std::size_t i = 0;
         do
-            stats.bump("w" + std::to_string(i++ % 16));
+            stats.bump(kAllCounters[i++ % 16]);
         while (!stop.load(std::memory_order_relaxed));
     });
     for (int round = 0; round < 200; ++round) {
         std::uint64_t total = 0;
-        stats.forEach([&total](const std::string &,
-                               std::uint64_t value) { total += value; });
+        stats.snapshot().forEach(
+            [&total](std::string_view, std::uint64_t value) {
+                total += value;
+            });
     }
     stop.store(true);
     writer.join();
     std::uint64_t total = 0;
-    stats.forEach(
-        [&total](const std::string &, std::uint64_t value) {
+    stats.snapshot().forEach(
+        [&total](std::string_view, std::uint64_t value) {
             total += value;
         });
     EXPECT_GT(total, 0u);
+}
+
+/** The names a set lists, in forEach order. */
+std::vector<std::string>
+listedNames(const CounterSet &stats)
+{
+    std::vector<std::string> names;
+    stats.forEach([&names](std::string_view name, std::uint64_t) {
+        names.emplace_back(name);
+    });
+    return names;
+}
+
+TEST(CounterSet, BumpByZeroIsListed)
+{
+    CounterSet stats;
+    EXPECT_TRUE(listedNames(stats).empty());
+    stats.bump(counter("batch.failures"), 0);
+    stats.bump(counter("batch.jobs"), 4);
+    EXPECT_TRUE(stats.listed(counter("batch.failures")));
+    EXPECT_FALSE(stats.listed(counter("cache.hits"))); // untouched
+    EXPECT_EQ(listedNames(stats),
+              (std::vector<std::string>{"batch.failures", "batch.jobs"}));
+
+    // A slot written in place lists only while it is non-zero.
+    stats[counter("dfs_nodes")] += 0;
+    EXPECT_FALSE(stats.listed(counter("dfs_nodes")));
+    stats[counter("dfs_nodes")] += 2;
+    EXPECT_TRUE(stats.listed(counter("dfs_nodes")));
+}
+
+TEST(CounterSet, MergeCarriesListing)
+{
+    CounterSet job;
+    job.bump(counter("cache.hits"), 0);
+    job.bump(counter("cache.misses"), 3);
+    CounterSet total;
+    total.merge(job);
+    EXPECT_EQ(listedNames(total),
+              (std::vector<std::string>{"cache.hits", "cache.misses"}));
+    EXPECT_EQ(total.get(counter("cache.misses")), 3u);
+
+    SharedCounterSet shared;
+    shared.merge(job);
+    shared.bump(counter("serve.ok"), 0);
+    EXPECT_EQ(listedNames(shared.snapshot()),
+              (std::vector<std::string>{"cache.hits", "cache.misses",
+                                        "serve.ok"}));
+    EXPECT_EQ(shared.snapshot().get(counter("cache.misses")), 3u);
+}
+
+TEST(CounterSet, EveryDeclaredNameRoundTrips)
+{
+    CounterSet stats;
+    for (std::size_t i = 0; i < kNumCounters; ++i) {
+        std::optional<CounterId> id = findCounter(kCounterNames[i]);
+        ASSERT_TRUE(id.has_value()) << kCounterNames[i];
+        EXPECT_EQ(*id, kAllCounters[i]);
+        EXPECT_EQ(counterName(*id), kCounterNames[i]);
+        stats.bump(*id, i + 1);
+    }
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        EXPECT_EQ(stats.get(kCounterNames[i]), i + 1) << kCounterNames[i];
+    EXPECT_EQ(counter("dfs_nodes"), findCounter("dfs_nodes"));
+
+    EXPECT_FALSE(findCounter("no.such.counter").has_value());
+    EXPECT_FALSE(findCounter("comm_sched_calls").has_value());
+    EXPECT_EQ(stats.get("no.such.counter"), 0u);
+    EXPECT_EQ(stats.get(""), 0u);
 }
 
 } // namespace

@@ -1108,6 +1108,43 @@ TEST(ServeRequestMemo, ByteBoundEvictsLeastRecentlyUsed)
     EXPECT_EQ(disabled.stats().entries, 0u);
 }
 
+TEST(Serve, ColdRequestsCountOneMissPerTier)
+{
+    // The reader thread probes a cold request, then the dispatched run
+    // probes again (catching an identical job that finished in
+    // between). Only the first probe's misses count, so N distinct
+    // jobs sent twice read N misses on both tiers, as the pipeline
+    // does.
+    setVerboseLogging(false);
+    serve::ServerConfig config = baseConfig(testSocketPath("cold_misses"));
+    config.cacheDirectory = freshCacheDir("cs_serve_cold_misses");
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+    serve::ScheduleClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+    const std::vector<std::string> kernels = {"DCT", "FFT", "FIR-INT",
+                                              "Block Warp"};
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const std::string &name : kernels) {
+            serve::Response response;
+            ASSERT_TRUE(client.schedule(oneJobSet(name), 0, &response,
+                                        &error))
+                << error;
+            ASSERT_EQ(response.status, serve::ResponseStatus::Ok)
+                << response.message;
+            EXPECT_EQ(response.cacheHit, pass == 1) << name;
+        }
+    }
+    CounterSet stats = server.counterSnapshot();
+    const std::uint64_t n = kernels.size();
+    EXPECT_EQ(stats.get("pipeline.cache_misses"), n);
+    EXPECT_EQ(stats.get("cache.memory.misses"), n);
+    EXPECT_EQ(stats.get("cache.disk.misses"), n);
+    EXPECT_EQ(stats.get("cache.memory.hits"), n);
+    EXPECT_EQ(stats.get("pipeline.cache_hits"), n);
+}
+
 TEST(Serve, TwoDaemonsShareCacheDirectoryViaFlock)
 {
     setVerboseLogging(false);

@@ -59,15 +59,15 @@ TEST(Stats, ArithmeticMeanAndExtremes)
 
 TEST(Stats, CounterSet)
 {
-    CounterSet counters;
-    EXPECT_EQ(counters.get("x"), 0u);
-    counters.bump("x");
-    counters.bump("x", 4);
-    counters.bump("y");
-    EXPECT_EQ(counters.get("x"), 5u);
-    EXPECT_EQ(counters.get("y"), 1u);
-    counters.clear();
-    EXPECT_EQ(counters.get("x"), 0u);
+    CounterSet stats;
+    EXPECT_EQ(stats.get(counter("copies_inserted")), 0u);
+    stats.bump(counter("copies_inserted"));
+    stats.bump(counter("copies_inserted"), 4);
+    stats.bump(counter("copies_reused"));
+    EXPECT_EQ(stats.get(counter("copies_inserted")), 5u);
+    EXPECT_EQ(stats.get("copies_reused"), 1u);
+    stats = CounterSet();
+    EXPECT_EQ(stats.get(counter("copies_inserted")), 0u);
 }
 
 TEST(Table, RendersAlignedRows)

@@ -69,19 +69,19 @@ TEST(Telemetry, RssReadsPositive)
 TEST(Telemetry, JsonlLinesAreWellFormedAndMonotone)
 {
     std::string path = tempFile("telemetry_monotone.jsonl");
-    CounterSet counters;
-    counters.bump("work.items", 1);
+    SharedCounterSet counters;
+    counters.bump(counter("pipeline.jobs"), 1);
 
     TelemetrySampler sampler;
     TelemetryConfig config;
     config.path = path;
     config.intervalMs = 10;
     ASSERT_TRUE(sampler.start(
-        config, [&counters] { return counters; },
+        config, [&counters] { return counters.snapshot(); },
         [](std::ostream &os) { os << ",\"extra\":42"; }));
     EXPECT_TRUE(sampler.running());
     for (int i = 0; i < 5; ++i) {
-        counters.bump("work.items", 3);
+        counters.bump(counter("pipeline.jobs"), 3);
         std::this_thread::sleep_for(std::chrono::milliseconds(12));
     }
     sampler.stop();
@@ -115,8 +115,8 @@ TEST(Telemetry, JsonlLinesAreWellFormedAndMonotone)
         lastSeq = jsonField(line, "seq");
         EXPECT_GE(jsonField(line, "t_ms"), lastT);
         lastT = jsonField(line, "t_ms");
-        EXPECT_GE(jsonField(line, "work.items"), lastItems);
-        lastItems = jsonField(line, "work.items");
+        EXPECT_GE(jsonField(line, "pipeline.jobs"), lastItems);
+        lastItems = jsonField(line, "pipeline.jobs");
         EXPECT_GT(jsonField(line, "rss_kb"), 0);
     }
 }
@@ -126,23 +126,23 @@ TEST(Telemetry, StopWritesTheFinalState)
     // The shutdown contract: the last line reflects counter state at
     // stop() time even when the interval is far longer than the run.
     std::string path = tempFile("telemetry_final.jsonl");
-    CounterSet counters;
+    SharedCounterSet counters;
     TelemetrySampler sampler;
     TelemetryConfig config;
     config.path = path;
     config.intervalMs = 60000; // Never fires on its own.
-    ASSERT_TRUE(sampler.start(config,
-                              [&counters] { return counters; }));
-    counters.bump("done", 7);
+    ASSERT_TRUE(sampler.start(
+        config, [&counters] { return counters.snapshot(); }));
+    counters.bump(counter("batch.jobs"), 7);
     sampler.stop();
 
     std::vector<std::string> lines = readLines(path);
     ASSERT_FALSE(lines.empty());
-    EXPECT_EQ(jsonField(lines.back(), "done"), 7);
+    EXPECT_EQ(jsonField(lines.back(), "batch.jobs"), 7);
     // Stop is idempotent and restart truncates.
     sampler.stop();
-    ASSERT_TRUE(sampler.start(config,
-                              [&counters] { return counters; }));
+    ASSERT_TRUE(sampler.start(
+        config, [&counters] { return counters.snapshot(); }));
     sampler.stop();
     EXPECT_EQ(readLines(path).size(), 1u);
 }
@@ -150,18 +150,18 @@ TEST(Telemetry, StopWritesTheFinalState)
 TEST(Telemetry, DeltasCarryOnlyChangedCounters)
 {
     std::string path = tempFile("telemetry_deltas.jsonl");
-    CounterSet counters;
-    counters.bump("steady", 5);
-    counters.bump("moving", 1);
+    SharedCounterSet counters;
+    counters.bump(counter("cache.hits"), 5);
+    counters.bump(counter("cache.misses"), 1);
 
     TelemetrySampler sampler;
     TelemetryConfig config;
     config.path = path;
     config.intervalMs = 20;
-    ASSERT_TRUE(sampler.start(config,
-                              [&counters] { return counters; }));
+    ASSERT_TRUE(sampler.start(
+        config, [&counters] { return counters.snapshot(); }));
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    counters.bump("moving", 4);
+    counters.bump(counter("cache.misses"), 4);
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     sampler.stop();
 
@@ -171,20 +171,20 @@ TEST(Telemetry, DeltasCarryOnlyChangedCounters)
     std::size_t firstDeltas = lines.front().find("\"deltas\":{");
     ASSERT_NE(firstDeltas, std::string::npos);
     std::string first = lines.front().substr(firstDeltas);
-    EXPECT_NE(first.find("\"steady\":5"), std::string::npos);
-    // A later line where only "moving" changed must not repeat
-    // "steady" in its deltas object (it stays in the cumulative
+    EXPECT_NE(first.find("\"cache.hits\":5"), std::string::npos);
+    // A later line where only "cache.misses" changed must not repeat
+    // "cache.hits" in its deltas object (it stays in the cumulative
     // counters object).
     bool sawMovingOnlyDelta = false;
     for (std::size_t i = 1; i < lines.size(); ++i) {
         std::size_t at = lines[i].find("\"deltas\":{");
         ASSERT_NE(at, std::string::npos);
         std::string deltas = lines[i].substr(at);
-        if (deltas.find("\"moving\":4") != std::string::npos) {
-            EXPECT_EQ(deltas.find("\"steady\""), std::string::npos);
+        if (deltas.find("\"cache.misses\":4") != std::string::npos) {
+            EXPECT_EQ(deltas.find("\"cache.hits\""), std::string::npos);
             sawMovingOnlyDelta = true;
         }
-        EXPECT_NE(lines[i].find("\"steady\":5"), std::string::npos);
+        EXPECT_NE(lines[i].find("\"cache.hits\":5"), std::string::npos);
     }
     EXPECT_TRUE(sawMovingOnlyDelta);
 }
@@ -201,7 +201,7 @@ TEST(Telemetry, StartFailsOnUnwritablePath)
 
 TEST(TelemetryStress, SamplerVsWorkersUnderLoad)
 {
-    // The TSan surface: worker threads bump a shared CounterSet and
+    // The TSan surface: worker threads bump a SharedCounterSet and
     // record into a registry histogram while the sampler snapshots
     // both every millisecond. Any unsynchronized access trips the
     // sanitizer builds.
@@ -209,14 +209,14 @@ TEST(TelemetryStress, SamplerVsWorkersUnderLoad)
     MetricsRegistry registry;
     StreamingHistogram &latency =
         registry.streamingHistogram("stress.lat");
-    CounterSet counters;
+    SharedCounterSet counters;
 
     TelemetrySampler sampler;
     TelemetryConfig config;
     config.path = path;
     config.intervalMs = 1;
     ASSERT_TRUE(sampler.start(
-        config, [&counters] { return counters; },
+        config, [&counters] { return counters.snapshot(); },
         [&registry](std::ostream &os) {
             HistogramSummary s = summarizeHistogram(
                 registry.streamingSnapshot()["stress.lat"]);
@@ -229,7 +229,7 @@ TEST(TelemetryStress, SamplerVsWorkersUnderLoad)
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&counters, &latency, t] {
             for (int i = 0; i < kIterations; ++i) {
-                counters.bump("stress.ops");
+                counters.bump(counter("serve.requests"));
                 latency.record(
                     static_cast<std::uint64_t>(i % 1000 + t));
             }
@@ -241,7 +241,7 @@ TEST(TelemetryStress, SamplerVsWorkersUnderLoad)
 
     std::vector<std::string> lines = readLines(path);
     ASSERT_FALSE(lines.empty());
-    EXPECT_EQ(jsonField(lines.back(), "stress.ops"),
+    EXPECT_EQ(jsonField(lines.back(), "serve.requests"),
               kThreads * kIterations);
 }
 
