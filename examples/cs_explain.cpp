@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,26 +83,6 @@ parseArgs(int argc, char **argv)
     return args;
 }
 
-bool
-knownMachine(const std::string &name)
-{
-    return name == "central" || name == "clustered2" ||
-           name == "clustered4" || name == "distributed";
-}
-
-cs::Machine
-buildMachine(const std::string &name)
-{
-    using namespace cs;
-    if (name == "central")
-        return makeCentral();
-    if (name == "clustered2")
-        return makeClustered({}, 2);
-    if (name == "clustered4")
-        return makeClustered({}, 4);
-    return makeDistributed();
-}
-
 } // namespace
 
 int
@@ -123,8 +104,10 @@ main(int argc, char **argv)
         for (const KernelSpec &spec : allKernels())
             std::cout << "  " << spec.name << "  (" << spec.description
                       << ")\n";
-        std::cout << "machines: central clustered2 clustered4 "
-                     "distributed\n";
+        std::cout << "machines:";
+        for (std::string_view style : kStdMachineStyles)
+            std::cout << " " << style;
+        std::cout << "\n";
         return 0;
     }
 
@@ -141,13 +124,13 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (!knownMachine(args.machine)) {
+    std::optional<Machine> built = makeStdMachine(args.machine);
+    if (!built) {
         std::cerr << "cs_explain: unknown machine '" << args.machine
-                  << "' (central, clustered2, clustered4, "
-                     "distributed)\n";
+                  << "' (try --list)\n";
         return 2;
     }
-    Machine machine = buildMachine(args.machine);
+    const Machine &machine = *built;
 
     ScheduleJob job;
     job.label = spec->name + "@" + args.machine;

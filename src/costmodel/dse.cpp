@@ -21,26 +21,13 @@ mixTag(const FuMix &mix)
 }
 
 std::string
-pointName(const std::string &style, const StdMachineConfig &config)
+pointName(std::string_view style, const StdMachineConfig &config)
 {
-    std::string name = style + "/" + mixTag(config.mix) + "/r" +
-                       std::to_string(config.totalRegisters);
+    std::string name = std::string(style) + "/" + mixTag(config.mix) +
+                       "/r" + std::to_string(config.totalRegisters);
     if (style == "distributed")
         name += "/b" + std::to_string(config.numGlobalBuses);
     return name;
-}
-
-Machine
-buildPoint(const std::string &style, const StdMachineConfig &config)
-{
-    if (style == "central")
-        return makeCentral(config);
-    if (style == "clustered2")
-        return makeClustered(config, 2);
-    if (style == "clustered4")
-        return makeClustered(config, 4);
-    CS_ASSERT(style == "distributed", "unknown style ", style);
-    return makeDistributed(config);
 }
 
 } // namespace
@@ -48,25 +35,24 @@ buildPoint(const std::string &style, const StdMachineConfig &config)
 std::vector<DsePoint>
 enumerateMachineSpace(const DseSpaceConfig &spaceConfig)
 {
-    static const char *const kStyles[] = {"central", "clustered2",
-                                          "clustered4", "distributed"};
     const int want = spaceConfig.variants < 4 ? 4 : spaceConfig.variants;
 
     std::vector<DsePoint> points;
     points.reserve(static_cast<std::size_t>(want));
     std::set<std::string> seen;
 
-    auto add = [&](const std::string &style,
+    auto add = [&](std::string_view style,
                    const StdMachineConfig &config) {
         std::string name = pointName(style, config);
         if (!seen.insert(name).second)
             return;
-        points.push_back(DsePoint{std::move(name), style, config,
-                                  buildPoint(style, config)});
+        points.push_back(DsePoint{std::move(name), std::string(style),
+                                  config,
+                                  makeStdMachine(style, config).value()});
     };
 
     // The paper's evaluation machines anchor the space.
-    for (const char *style : kStyles)
+    for (std::string_view style : kStdMachineStyles)
         add(style, StdMachineConfig{});
 
     // Seeded variants around them. The draw ranges keep every opclass
@@ -89,9 +75,9 @@ enumerateMachineSpace(const DseSpaceConfig &spaceConfig)
             64 * static_cast<int>(rng.uniformInt(2, 5));
         config.numGlobalBuses =
             static_cast<int>(rng.uniformInt(6, 12));
-        const char *style =
-            kStyles[static_cast<std::size_t>(rng.uniformInt(0, 3))];
-        add(style, config);
+        add(kStdMachineStyles[static_cast<std::size_t>(
+                rng.uniformInt(0, 3))],
+            config);
     }
     CS_ASSERT(static_cast<int>(points.size()) == want,
               "design space exhausted at ", points.size(), " of ",

@@ -34,7 +34,7 @@ struct DsePoint
 {
     /** Unique display name, e.g. "clustered2/a4m2d1p1s1l3/r192". */
     std::string name;
-    /** "central", "clustered2", "clustered4", or "distributed". */
+    /** One of kStdMachineStyles (machine/builders.hpp). */
     std::string style;
     StdMachineConfig config;
     Machine machine;

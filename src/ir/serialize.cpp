@@ -14,19 +14,6 @@ namespace {
 
 constexpr std::int64_t kMaxIndex = 1 << 20;
 
-bool
-opcodeByName(std::string_view name, Opcode *out)
-{
-    for (std::size_t i = 0; i < kNumOpcodes; ++i) {
-        Opcode op = static_cast<Opcode>(i);
-        if (opcodeName(op) == name) {
-            *out = op;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Parsed-but-unchecked kernel contents, operations in id order. */
 struct KernelDesc
 {

@@ -221,6 +221,20 @@ makeDistributed(const StdMachineConfig &config)
     return builder.build();
 }
 
+std::optional<Machine>
+makeStdMachine(std::string_view style, const StdMachineConfig &config)
+{
+    if (style == "central")
+        return makeCentral(config);
+    if (style == "clustered2")
+        return makeClustered(config, 2);
+    if (style == "clustered4")
+        return makeClustered(config, 4);
+    if (style == "distributed")
+        return makeDistributed(config);
+    return std::nullopt;
+}
+
 Machine
 makeFigure5Machine()
 {

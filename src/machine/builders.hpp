@@ -10,6 +10,9 @@
 #ifndef CS_MACHINE_BUILDERS_HPP
 #define CS_MACHINE_BUILDERS_HPP
 
+#include <optional>
+#include <string_view>
+
 #include "machine/builder.hpp"
 #include "machine/machine.hpp"
 
@@ -84,6 +87,20 @@ Machine makeClustered(const StdMachineConfig &config, int numClusters);
  * scratchpad implement the copy operation (paper Section 5).
  */
 Machine makeDistributed(const StdMachineConfig &config = {});
+
+/**
+ * Style names of the four evaluation machines, in the order the
+ * design-space sweep draws them by index (costmodel/dse).
+ */
+inline constexpr std::string_view kStdMachineStyles[] = {
+    "central", "clustered2", "clustered4", "distributed"};
+
+/**
+ * The evaluation machine of @p style, one of kStdMachineStyles, built
+ * with @p config; nothing for any other name.
+ */
+std::optional<Machine> makeStdMachine(std::string_view style,
+                                      const StdMachineConfig &config = {});
 
 /**
  * The motivating example's machine (Figure 5): two adders and a

@@ -99,6 +99,19 @@ opcodeName(Opcode op)
     }
 }
 
+bool
+opcodeByName(std::string_view name, Opcode *out)
+{
+    for (std::size_t i = 0; i < kNumOpcodes; ++i) {
+        Opcode op = static_cast<Opcode>(i);
+        if (opcodeName(op) == name) {
+            *out = op;
+            return true;
+        }
+    }
+    return false;
+}
+
 std::string_view
 opClassName(OpClass cls)
 {

@@ -72,6 +72,9 @@ bool opcodeHasResult(Opcode op);
 /** Short mnemonic, e.g. "fadd". */
 std::string_view opcodeName(Opcode op);
 
+/** The opcode whose opcodeName() is @p name; false if there is none. */
+bool opcodeByName(std::string_view name, Opcode *out);
+
 /** Class name, e.g. "add". */
 std::string_view opClassName(OpClass cls);
 

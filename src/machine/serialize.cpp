@@ -28,19 +28,6 @@ opClassByName(std::string_view name, OpClass *out)
     return false;
 }
 
-bool
-opcodeByName(std::string_view name, Opcode *out)
-{
-    for (std::size_t i = 0; i < kNumOpcodes; ++i) {
-        Opcode op = static_cast<Opcode>(i);
-        if (opcodeName(op) == name) {
-            *out = op;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
  * Everything the formats carry, in replay order, with indices still
  * unchecked. Both the text parser and the binary decoder fill one of

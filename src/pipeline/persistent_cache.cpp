@@ -67,36 +67,18 @@ fileSize(int fd)
 }
 
 /**
- * Validate the index-footer block at [dataEnd, size) of @p bytes
- * (geometry, magics, checksum). Returns the entry count on success.
+ * Read the payload and checksum of the record whose payload starts at
+ * @p offset into @p buffer and check the FNV-1a; false on a short read
+ * or a mismatch. The payload is the first @p length bytes of @p buffer.
  */
 bool
-footerBlockValid(const std::uint8_t *bytes, std::size_t size,
-                 std::uint64_t dataEnd, std::uint64_t *countOut)
+readRecord(int fd, std::uint64_t offset, std::uint32_t length,
+           std::vector<std::uint8_t> &buffer)
 {
-    constexpr std::size_t kHead = 4 + 8; // fmagic + count
-    if (size < kHead + kShardFooterTailBytes ||
-        dataEnd > size - kHead - kShardFooterTailBytes)
-        return false;
-    const std::uint8_t *footer = bytes + dataEnd;
-    std::size_t footerBytes = size - static_cast<std::size_t>(dataEnd);
-    if (wire::loadU32le(footer) != kShardFooterMagic)
-        return false;
-    std::uint64_t count = wire::loadU64le(footer + 4);
-    if (count > (footerBytes - kHead - kShardFooterTailBytes) /
-                    kShardFooterEntryBytes ||
-        kHead + count * kShardFooterEntryBytes + kShardFooterTailBytes !=
-            footerBytes)
-        return false;
-    if (wire::loadU32le(bytes + size - 4) != kShardFooterTailMagic)
-        return false;
-    if (wire::loadU64le(bytes + size - 20) != dataEnd)
-        return false;
-    std::uint64_t check = wire::loadU64le(bytes + size - 12);
-    if (fnv1aBytes(footer, footerBytes - 12) != check)
-        return false;
-    *countOut = count;
-    return true;
+    buffer.resize(length + kShardRecordTrailerBytes);
+    return preadAll(fd, buffer.data(), buffer.size(), offset) &&
+           fnv1aBytes(buffer.data(), length) ==
+               wire::loadU64le(buffer.data() + length);
 }
 
 } // namespace
@@ -132,15 +114,8 @@ PersistentScheduleCache::PersistentScheduleCache(
 PersistentScheduleCache::~PersistentScheduleCache()
 {
     for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        if (shard->fd < 0)
-            continue;
-        if (shard->owned && !shard->footerIntact &&
-            !shard->suppressFooter)
-            writeFooter(*shard);
-        shard->map.reset();
-        ::close(shard->fd);
-        shard->fd = -1;
+        if (shard->fd >= 0)
+            ::close(shard->fd);
     }
 }
 
@@ -169,35 +144,11 @@ PersistentScheduleCache::openOne(Shard &shard)
         return;
     }
 
-    // Read path for the index build: the mapping when available, a
-    // one-shot pread of the whole file otherwise.
-    std::vector<std::uint8_t> fallback;
-    const std::uint8_t *bytes = nullptr;
-    std::size_t size = 0;
-    if (shard.map.map(shard.fd)) {
-        bytes = shard.map.data();
-        size = shard.map.size();
-    } else {
-        std::uint64_t fsize = fileSize(shard.fd);
-        fallback.resize(fsize);
-        if (fsize > 0 &&
-            !preadAll(shard.fd, fallback.data(), fallback.size(), 0)) {
-            CS_WARN("schedule cache: cannot read '", shard.path, "'");
-            fallback.clear();
-        }
-        bytes = fallback.data();
-        size = fallback.size();
-    }
-
     if (shard.owned)
         counters_.bump(counter("cache.disk.owned_shards"));
-    if (!shard.owned)
+    else
         shard.lastOwnershipTry = std::chrono::steady_clock::now();
-    if (size == 0)
-        return; // fresh shard
-    if (loadFromFooter(shard, bytes, size))
-        return;
-    loadFromScan(shard, bytes, size);
+    scan(shard);
 }
 
 void
@@ -214,125 +165,39 @@ PersistentScheduleCache::maybePromote(Shard &shard)
         return; // the owner is still alive
 
     // The lock is released with the dead owner's last fd, so holding
-    // it means no other daemon can append any more: re-index to pick
-    // up every record (and possibly a close footer) the owner wrote
-    // after our open, then take over appending. The scan path may now
-    // self-heal a torn tail the owner left — we own the shard.
+    // it means no other daemon can append any more: re-scan to pick up
+    // every record the owner wrote after our open, then take over
+    // appending. The scan may now self-heal a torn tail the owner left
+    // — we own the shard.
     shard.owned = true;
     shard.index.clear();
-    shard.appendPos = 0;
-    shard.footerIntact = false;
-    std::vector<std::uint8_t> fallback;
-    const std::uint8_t *bytes = nullptr;
-    std::size_t size = 0;
-    if (shard.map.valid())
-        shard.map.remap(shard.fd);
-    else
-        shard.map.map(shard.fd);
-    if (shard.map.valid()) {
-        bytes = shard.map.data();
-        size = shard.map.size();
-    } else {
-        std::uint64_t fsize = fileSize(shard.fd);
-        fallback.resize(fsize);
-        if (fsize > 0 &&
-            !preadAll(shard.fd, fallback.data(), fallback.size(), 0))
-            fallback.clear();
-        bytes = fallback.data();
-        size = fallback.size();
-    }
     counters_.bump(counter("cache.disk.owned_shards"));
     counters_.bump(counter("cache.disk.ownership_promotions"));
-    if (size != 0 && !loadFromFooter(shard, bytes, size))
-        loadFromScan(shard, bytes, size);
-}
-
-bool
-PersistentScheduleCache::loadFromFooter(Shard &shard,
-                                        const std::uint8_t *bytes,
-                                        std::size_t size)
-{
-    if (size < kShardFooterTailBytes)
-        return false;
-    std::uint64_t dataEnd = wire::loadU64le(bytes + size - 20);
-    std::uint64_t count = 0;
-    if (!footerBlockValid(bytes, size, dataEnd, &count))
-        return false;
-
-    const std::uint8_t *entry = bytes + dataEnd + 4 + 8;
-    std::unordered_map<std::uint64_t, std::pair<std::uint64_t,
-                                                std::uint32_t>>
-        index;
-    index.reserve(count);
-    for (std::uint64_t i = 0; i < count;
-         ++i, entry += kShardFooterEntryBytes) {
-        std::uint64_t key = wire::loadU64le(entry);
-        std::uint64_t offset = wire::loadU64le(entry + 8);
-        std::uint32_t length = wire::loadU32le(entry + 16);
-        // Every entry must describe a record wholly inside the records
-        // region; a footer that points past dataEnd is treated as torn.
-        if (length > kMaxPayload || offset < kShardRecordHeaderBytes ||
-            offset + length + kShardRecordTrailerBytes > dataEnd)
-            return false;
-        index[key] = {offset, length};
-    }
-
-    shard.index = std::move(index);
-    shard.appendPos = dataEnd;
-    shard.footerIntact = true;
-    counters_.bump(counter("cache.disk.footer_loads"));
-    counters_.bump(counter("cache.disk.loaded_entries"), count);
-    return true;
+    scan(shard);
 }
 
 void
-PersistentScheduleCache::loadFromScan(Shard &shard,
-                                      const std::uint8_t *bytes,
-                                      std::size_t size)
+PersistentScheduleCache::scan(Shard &shard)
 {
-    std::size_t pos = 0;
+    std::uint64_t size = fileSize(shard.fd);
+    std::uint64_t pos = 0;
     std::uint64_t loaded = 0;
-    while (pos + 4 <= size) {
-        const std::uint8_t *p = bytes + pos;
-        if (wire::loadU32le(p) == kShardFooterMagic) {
-            // A stale footer from an earlier clean close with records
-            // appended after it. Skip it — but only when the whole
-            // block validates in place; anything else is corruption.
-            constexpr std::size_t kHead = 4 + 8;
-            if (pos + kHead + kShardFooterTailBytes > size)
-                break;
-            std::uint64_t count = wire::loadU64le(p + 4);
-            if (count > (size - pos - kHead - kShardFooterTailBytes) /
-                            kShardFooterEntryBytes)
-                break;
-            std::size_t blockBytes = kHead +
-                count * kShardFooterEntryBytes + kShardFooterTailBytes;
-            std::uint64_t blockEnd = pos + blockBytes;
-            std::uint64_t cnt = 0;
-            if (!footerBlockValid(bytes, blockEnd, pos, &cnt))
-                break;
-            pos = blockEnd;
-            continue;
-        }
-        if (pos + kShardRecordHeaderBytes + kShardRecordTrailerBytes >
-                size ||
-            wire::loadU32le(p) != kShardRecordMagic)
-            break;
-        std::uint64_t key = wire::loadU64le(p + 4);
-        std::uint32_t length = wire::loadU32le(p + 12);
+    std::uint8_t header[kShardRecordHeaderBytes];
+    std::vector<std::uint8_t> record;
+    while (pos + kShardRecordHeaderBytes + kShardRecordTrailerBytes <=
+               size &&
+           preadAll(shard.fd, header, sizeof header, pos) &&
+           wire::loadU32le(header) == kShardRecordMagic) {
+        std::uint64_t key = wire::loadU64le(header + 4);
+        std::uint32_t length = wire::loadU32le(header + 12);
+        std::uint64_t offset = pos + kShardRecordHeaderBytes;
         if (length > kMaxPayload ||
-            pos + kShardRecordHeaderBytes + length +
-                    kShardRecordTrailerBytes >
-                size)
-            break; // torn tail: record written partially
-        const std::uint8_t *payload = p + kShardRecordHeaderBytes;
-        std::uint64_t check = wire::loadU64le(payload + length);
-        if (fnv1aBytes(payload, length) != check)
-            break;
-        shard.index[key] = {pos + kShardRecordHeaderBytes, length};
+            offset + length + kShardRecordTrailerBytes > size ||
+            !readRecord(shard.fd, offset, length, record))
+            break; // torn tail or damaged record
+        shard.index[key] = {offset, length};
         ++loaded;
-        pos += kShardRecordHeaderBytes + length +
-               kShardRecordTrailerBytes;
+        pos = offset + length + kShardRecordTrailerBytes;
     }
     if (pos < size && shard.owned) {
         // Self-heal: drop the invalid tail so the next append starts
@@ -345,36 +210,7 @@ PersistentScheduleCache::loadFromScan(Shard &shard,
         counters_.bump(counter("cache.disk.truncated_bytes"), size - pos);
     }
     shard.appendPos = pos;
-    shard.footerIntact = false;
-    counters_.bump(counter("cache.disk.scan_loads"));
     counters_.bump(counter("cache.disk.loaded_entries"), loaded);
-}
-
-void
-PersistentScheduleCache::writeFooter(Shard &shard)
-{
-    std::vector<std::uint8_t> footer;
-    footer.reserve(4 + 8 +
-                   shard.index.size() * kShardFooterEntryBytes +
-                   kShardFooterTailBytes);
-    wire::appendU32le(footer, kShardFooterMagic);
-    wire::appendU64le(footer, shard.index.size());
-    for (const auto &[key, span] : shard.index) {
-        wire::appendU64le(footer, key);
-        wire::appendU64le(footer, span.first);
-        wire::appendU32le(footer, span.second);
-    }
-    wire::appendU64le(footer, shard.appendPos); // dataEnd
-    wire::appendU64le(footer, fnv1aBytes(footer.data(), footer.size()));
-    wire::appendU32le(footer, kShardFooterTailMagic);
-    // O_APPEND lands the footer at EOF == appendPos. A torn footer
-    // write is harmless: the next open fails its validation and falls
-    // back to the scan, which skips or truncates it.
-    if (writeAll(shard.fd, footer.data(), footer.size()))
-        shard.footerIntact = true;
-    else
-        CS_WARN("schedule cache: cannot write index footer of '",
-                shard.path, "': ", std::strerror(errno));
 }
 
 PersistentScheduleCache::Shard &
@@ -400,42 +236,16 @@ PersistentScheduleCache::lookup(std::uint64_t key, bool countMiss)
         return nullptr;
     }
     auto [offset, length] = it->second;
-    std::size_t span = length + kShardRecordTrailerBytes;
 
-    // Zero-copy path: checksum and decode straight out of the mapping.
-    // A record appended after the last (re)map lies past the mapped
-    // length; remap once to cover it. Safe against SIGBUS: offsets in
-    // the index are bounded by the records region, which no writer
-    // ever truncates below (only the footer after it is ever cut).
-    const std::uint8_t *payload = nullptr;
-    if (shard.map.valid() && offset + span > shard.map.size() &&
-        shard.fd >= 0) {
-        shard.map.remap(shard.fd);
-        counters_.bump(counter("cache.disk.remaps"));
-    }
-    std::vector<std::uint8_t> copy;
-    bool ok = true;
-    if (shard.map.valid() && offset + span <= shard.map.size()) {
-        payload = shard.map.data() + offset;
-    } else if (shard.fd >= 0) {
-        copy.resize(span);
-        ok = preadAll(shard.fd, copy.data(), span, offset);
-        payload = copy.data();
-    } else {
-        ok = false;
-    }
-
-    // Validate again at read time: the open-path index vouched for the
-    // record once, but the file may have been rewritten or damaged
-    // since. Any failure degrades to a miss.
+    // Check the record again at read time: the scan vouched for it
+    // once, but the file may have been damaged since. Any failure
+    // degrades to a miss.
+    std::vector<std::uint8_t> record;
     auto result = std::make_shared<JobResult>();
-    if (ok) {
-        std::uint64_t check = wire::loadU64le(payload + length);
-        ok = fnv1aBytes(payload, length) == check;
-    }
+    bool ok = readRecord(shard.fd, offset, length, record);
     if (ok) {
         wire::ByteReader reader(
-            std::span<const std::uint8_t>(payload, length));
+            std::span<const std::uint8_t>(record.data(), length));
         ok = decodeJobResult(reader, result.get()) && reader.atEnd();
     }
     if (!ok) {
@@ -487,17 +297,6 @@ PersistentScheduleCache::insert(std::uint64_t key,
                                     : counter("cache.disk.dropped_read_only"));
         return;
     }
-    if (shard.footerIntact) {
-        // First append since the clean close: cut the footer off so
-        // records stay contiguous (the close path rewrites it).
-        if (::ftruncate(shard.fd,
-                        static_cast<off_t>(shard.appendPos)) != 0) {
-            // Keep appending at the real EOF; the scan path skips the
-            // now-mid-file footer on the next open.
-            shard.appendPos = fileSize(shard.fd);
-        }
-        shard.footerIntact = false;
-    }
     bool ok = writeAll(shard.fd, record.data(), record.size());
     if (!ok) {
         counters_.bump(counter("cache.disk.write_errors"));
@@ -523,8 +322,6 @@ PersistentScheduleCache::diskStats() const
     DiskStats s;
     s.loadedEntries = c.get(counter("cache.disk.loaded_entries"));
     s.truncatedBytes = c.get(counter("cache.disk.truncated_bytes"));
-    s.footerLoads = c.get(counter("cache.disk.footer_loads"));
-    s.scanLoads = c.get(counter("cache.disk.scan_loads"));
     s.ownedShards = c.get(counter("cache.disk.owned_shards"));
     s.hits = c.get(counter("cache.disk.hits"));
     s.misses = c.get(counter("cache.disk.misses"));
@@ -532,7 +329,6 @@ PersistentScheduleCache::diskStats() const
     s.writes = c.get(counter("cache.disk.writes"));
     s.writeErrors = c.get(counter("cache.disk.write_errors"));
     s.droppedReadOnly = c.get(counter("cache.disk.dropped_read_only"));
-    s.remaps = c.get(counter("cache.disk.remaps"));
     s.ownershipPromotions = c.get(counter("cache.disk.ownership_promotions"));
     return s;
 }
@@ -552,49 +348,6 @@ PersistentScheduleCache::shardInfos() const
         out.push_back(std::move(info));
     }
     return out;
-}
-
-void
-PersistentScheduleCache::clear()
-{
-    memory_.clear();
-    for (auto &shard : shards_) {
-        std::lock_guard<std::mutex> lock(shard->mutex);
-        shard->index.clear();
-        // Files are kept, and the next open must still find every
-        // record — so a clear()ed shard must not write a (now empty)
-        // footer at close that would mask them.
-        shard->suppressFooter = true;
-    }
-}
-
-int
-PersistentScheduleCache::stripIndexFooters(const std::string &directory)
-{
-    namespace fs = std::filesystem;
-    int stripped = 0;
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(directory, ec)) {
-        const fs::path &path = entry.path();
-        if (path.extension() != ".bin")
-            continue;
-        int fd = ::open(path.c_str(), O_RDWR | O_CLOEXEC);
-        if (fd < 0)
-            continue;
-        std::uint64_t size = fileSize(fd);
-        std::vector<std::uint8_t> bytes(size);
-        std::uint64_t count = 0;
-        if (size >= kShardFooterTailBytes &&
-            preadAll(fd, bytes.data(), bytes.size(), 0) &&
-            footerBlockValid(bytes.data(), bytes.size(),
-                             wire::loadU64le(bytes.data() + size - 20),
-                             &count) &&
-            ::ftruncate(fd, static_cast<off_t>(wire::loadU64le(
-                                bytes.data() + size - 20))) == 0)
-            ++stripped;
-        ::close(fd);
-    }
-    return stripped;
 }
 
 } // namespace cs

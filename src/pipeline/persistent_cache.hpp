@@ -5,7 +5,7 @@
  * result so the cache survives restarts and loads warm.
  *
  * On-disk layout: N shard files named shard-<i>.bin; a key routes to
- * shard key % N. Each shard is a sequence of appended records:
+ * shard key % N. Each shard is an append-only log of records:
  *
  *   magic   u32  (0x43535243, "CSRC")
  *   key     u64  content hash (scheduleJobKey)
@@ -13,56 +13,33 @@
  *   payload      encodeJobResult bytes
  *   check   u64  FNV-1a over the payload
  *
- * On clean close an *index footer* is appended after the records so the
- * next open can rebuild the key -> offset index without scanning (or
- * even faulting in) the payload bytes — reopen cost is O(entries), not
- * O(cache bytes):
+ * Index: open reads the records in order with pread(2), one at a time,
+ * and keeps key -> (payload offset, length) of the last valid record
+ * per key (re-insertion appends, so the last record wins). The scan
+ * stops at the first bytes that are not a valid record: a torn tail, a
+ * damaged record, or the index footer that older builds appended on a
+ * clean close. An owner truncates the shard there, so the next append
+ * starts on a record boundary; the records before it stay indexed.
  *
- *   fmagic  u32  (0x58495343, "CSIX")
- *   count   u64
- *   entry[count]: key u64, payload offset u64, payload length u32
- *   dataEnd u64  file offset where the footer begins (= records end)
- *   check   u64  FNV-1a over fmagic..dataEnd
- *   tmagic  u32  (0x58464f4f, "OOFX")
+ * Read: a disk hit preads the indexed record's payload and checksum,
+ * checks the checksum again and decodes; any failure is a miss.
  *
- * The tail (dataEnd/check/tmagic) is fixed-size, so the footer is
- * located from EOF, validated (magics, geometry, checksum, every entry
- * inside [0, dataEnd)), and trusted only when all of it holds. A
- * missing or torn footer falls back to the original sequential record
- * scan, which skips well-formed stale footers mid-file; either path
- * indexes the same records. The footer is lazily dropped (ftruncate to
- * dataEnd) before the first append so records stay contiguous; a clean
- * close rewrites it.
- *
- * Reads are served from a read-only mmap of the shard
- * (support/mmap_file.hpp): a warm hit checksums and decodes the record
- * straight out of the page-cache-backed mapping, with no intermediate
- * payload copy. Records appended after the mapping was taken trigger a
- * remap (tracked by the `remaps` counter); if mmap is unavailable the
- * shard degrades to pread(2).
- *
- * Crash safety without a journal: records are append-only, and a torn
- * or corrupt tail is detected by the fallback scan — it stops at the
- * first record whose magic, length, or checksum does not hold,
- * truncates the shard there (owners only), and indexes the valid
- * prefix. Reads validate the checksum (and decode) again, so even a
- * record corrupted after open degrades to a miss, never a crash.
- * Duplicate keys are legal (re-insertions append); both index builds
- * keep the last occurrence, matching insertion order.
+ * Crash safety without a journal: records are only appended, and every
+ * read re-checks its checksum.
  *
  * Multi-daemon sharing: each shard is guarded by flock(2). The open
  * path takes LOCK_EX | LOCK_NB per shard; winners *own* the shard
- * (append, self-heal, write the footer on close) for the cache's
- * lifetime, losers open it read-only — their lookups serve the records
- * valid at open time and their inserts keep only the memory tier
- * (counted as dropped_read_only). Owners never truncate below the
+ * (append, self-heal) for the cache's lifetime, losers open it
+ * read-only — their lookups serve the records valid at open time and
+ * their inserts keep only the memory tier (counted as
+ * dropped_read_only). Owners never truncate below the
  * records region a read-only opener could have indexed, so concurrent
  * daemons on one cache directory cannot corrupt each other.
  *
  * Owner failover: with ownershipRetryMs > 0, a read-only shard retries
  * the flock (rate-limited, piggybacked on lookup/insert traffic) and —
  * since the kernel releases a dead owner's lock with its last fd —
- * promotes itself when the owner has exited: it re-indexes the shard
+ * promotes itself when the owner has exited: it re-scans the shard
  * to pick up whatever the owner appended after our open, then starts
  * appending. Counted as ownership_promotions.
  *
@@ -83,7 +60,6 @@
 #include <vector>
 
 #include "pipeline/schedule_cache.hpp"
-#include "support/mmap_file.hpp"
 
 namespace cs {
 
@@ -92,12 +68,6 @@ namespace cs {
 inline constexpr std::uint32_t kShardRecordMagic = 0x43535243u; // CSRC
 inline constexpr std::size_t kShardRecordHeaderBytes = 4 + 8 + 4;
 inline constexpr std::size_t kShardRecordTrailerBytes = 8;
-inline constexpr std::uint32_t kShardFooterMagic = 0x58495343u; // CSIX
-inline constexpr std::uint32_t kShardFooterTailMagic = 0x58464f4fu;
-/** Footer tail: dataEnd u64 + checksum u64 + tail magic u32. */
-inline constexpr std::size_t kShardFooterTailBytes = 8 + 8 + 4;
-/** Footer entry: key u64 + payload offset u64 + payload length u32. */
-inline constexpr std::size_t kShardFooterEntryBytes = 8 + 8 + 4;
 /// @}
 
 /** Two-tier (memory LRU + sharded disk) schedule cache. */
@@ -116,9 +86,9 @@ class PersistentScheduleCache
      *                        lookup/insert traffic) and promote to
      *                        owner when it succeeds — i.e. when the
      *                        owning daemon has exited and its lock was
-     *                        released. Promotion re-indexes the shard
+     *                        released. Promotion re-scans the shard
      *                        (the dead owner may have appended records
-     *                        or a footer since our open) and counts
+     *                        since our open) and counts
      *                        ownership_promotions. 0 never retries
      *                        (the PR 8 behavior).
      */
@@ -126,7 +96,6 @@ class PersistentScheduleCache
                             std::string directory, int shards = 8,
                             int ownershipRetryMs = 0);
 
-    /** Clean close: owned shards get their index footer appended. */
     ~PersistentScheduleCache();
 
     /**
@@ -160,10 +129,6 @@ class PersistentScheduleCache
         std::uint64_t loadedEntries = 0;
         /** Bytes truncated from torn/corrupt shard tails on open. */
         std::uint64_t truncatedBytes = 0;
-        /** Shards whose reopen trusted an index footer (O(1) path). */
-        std::uint64_t footerLoads = 0;
-        /** Non-empty shards indexed by the fallback record scan. */
-        std::uint64_t scanLoads = 0;
         /** Shards this cache holds the flock on (appendable). */
         std::uint64_t ownedShards = 0;
         std::uint64_t hits = 0;
@@ -175,8 +140,6 @@ class PersistentScheduleCache
         std::uint64_t writeErrors = 0;
         /** Inserts dropped because another daemon owns the shard. */
         std::uint64_t droppedReadOnly = 0;
-        /** Mapping refreshes forced by reading post-open appends. */
-        std::uint64_t remaps = 0;
         /** Read-only shards that took the flock after the owner died
          *  (ownershipRetryMs > 0) and became appendable. */
         std::uint64_t ownershipPromotions = 0;
@@ -189,9 +152,9 @@ class PersistentScheduleCache
 
     /**
      * Point-in-time view of one shard file, for telemetry: bytes is
-     * the records region (the next append offset, excluding any index
-     * footer), records is the *indexed* count — last-wins per key, so
-     * overwritten duplicates are not counted.
+     * the records region (the next append offset), records is the
+     * *indexed* count — last-wins per key, so overwritten duplicates
+     * are not counted.
      */
     struct ShardInfo
     {
@@ -211,37 +174,18 @@ class PersistentScheduleCache
     /** The shard directory ("" when the disk tier is disabled). */
     const std::string &directory() const { return directory_; }
 
-    /** Drop memory entries and the disk index (files are kept). */
-    void clear();
-
-    /**
-     * Remove valid index footers from every shard file in
-     * @p directory, leaving only the records — the state a crashed
-     * daemon (which never reached its clean close) leaves behind.
-     * Test hook for exercising the scan fallback; returns how
-     * many footers were stripped. Must not race a live cache on the
-     * same directory.
-     */
-    static int stripIndexFooters(const std::string &directory);
-
   private:
     struct Shard
     {
         std::mutex mutex;
         std::string path;
         int fd = -1;
-        /** flock(LOCK_EX) winner: may append/heal/write the footer. */
+        /** flock(LOCK_EX) winner: may append and heal. */
         bool owned = false;
-        /** A valid footer currently sits at EOF (dropped on append). */
-        bool footerIntact = false;
-        /** clear() was called: skip the close-time footer so the next
-         *  open rediscovers the kept records by scan. */
-        bool suppressFooter = false;
         /** End of the records region == next append offset. */
         std::uint64_t appendPos = 0;
         /** Last flock-ownership retry (read-only shards only). */
         std::chrono::steady_clock::time_point lastOwnershipTry{};
-        MmapFile map;
         /** key -> (payload offset, payload length) of the last valid
          *  record for that key. */
         std::unordered_map<std::uint64_t, std::pair<std::uint64_t,
@@ -254,11 +198,9 @@ class PersistentScheduleCache
     void openOne(Shard &shard);
     /** Ownership-retry check; shard.mutex must be held. */
     void maybePromote(Shard &shard);
-    bool loadFromFooter(Shard &shard, const std::uint8_t *bytes,
-                        std::size_t size);
-    void loadFromScan(Shard &shard, const std::uint8_t *bytes,
-                      std::size_t size);
-    void writeFooter(Shard &shard);
+    /** Index the shard's valid record prefix; an owner truncates
+     *  whatever follows it. */
+    void scan(Shard &shard);
 
     ScheduleCache memory_;
     std::string directory_;

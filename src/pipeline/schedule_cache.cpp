@@ -63,14 +63,6 @@ ScheduleCache::stats() const
 }
 
 void
-ScheduleCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-}
-
-void
 ScheduleCache::Stats::addTo(CounterSet &out) const
 {
     out.bump(counter("cache.memory.hits"), hits);

@@ -91,9 +91,6 @@ class ScheduleCache
 
     Stats stats() const;
 
-    /** Drop all entries (counters are kept). */
-    void clear();
-
   private:
     mutable std::mutex mutex_;
     std::size_t capacity_;

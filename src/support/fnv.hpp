@@ -4,7 +4,7 @@
  *
  * Two feeds over the same offset basis and prime:
  *  - fnv1aBytes(), the published byte-at-a-time FNV-1a: job keys
- *    (pipeline/job.cpp), shard record and footer checksums
+ *    (pipeline/job.cpp), shard record checksums
  *    (pipeline/persistent_cache.cpp) and the golden-listing
  *    fingerprints of the tests;
  *  - FnvHasher, which absorbs each datum as a full 64-bit lane

@@ -27,26 +27,6 @@ MetricsRegistry::streamingSnapshot() const
     return out;
 }
 
-std::atomic<std::int64_t> &
-MetricsRegistry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<std::atomic<std::int64_t>>(0);
-    return *slot;
-}
-
-std::map<std::string, std::int64_t>
-MetricsRegistry::gaugeSnapshot() const
-{
-    std::map<std::string, std::int64_t> out;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto &[name, value] : gauges_)
-        out.emplace(name, value->load(std::memory_order_relaxed));
-    return out;
-}
-
 void
 MetricsRegistry::writeJson(std::ostream &os) const
 {
@@ -61,15 +41,6 @@ MetricsRegistry::writeJson(std::ostream &os) const
         writeJsonQuoted(os, name);
         os << ":";
         writeHistogramSummary(os, summarizeHistogram(snapshot));
-    }
-    os << "},\"gauges\":{";
-    first = true;
-    for (const auto &[name, value] : gaugeSnapshot()) {
-        if (!first)
-            os << ",";
-        first = false;
-        writeJsonQuoted(os, name);
-        os << ":" << value;
     }
     os << "}}";
 }

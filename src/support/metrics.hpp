@@ -1,24 +1,21 @@
 /**
  * @file
  * Unified metrics surface for the front-ends and benches: one
- * registry holding the shared counters (a SharedCounterSet),
- * streaming histograms and gauges behind a single snapshot/JSON API,
- * plus the low-level JSON writers the front-ends use so nobody
- * hand-rolls stats blocks.
+ * registry holding the shared counters (a SharedCounterSet) and
+ * streaming histograms behind a single snapshot/JSON API, plus the
+ * low-level JSON writers the front-ends use so nobody hand-rolls stats
+ * blocks.
  *
  * Counters are monotonically increasing integers declared in
  * support/stats.hpp ("serve.requests"), bumped with relaxed atomic
  * adds. Streaming histograms (support/histogram.hpp) hold sample
  * distributions in a fixed footprint: wait-free to record,
  * snapshot-able from a sampler thread while workers keep recording.
- * Gauges are point-in-time signed levels ("queue.depth") read and
- * written atomically.
  */
 
 #ifndef CS_SUPPORT_METRICS_HPP
 #define CS_SUPPORT_METRICS_HPP
 
-#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -56,21 +53,11 @@ class MetricsRegistry
     streamingSnapshot() const;
 
     /**
-     * Named gauge (signed level, e.g. in-flight depth), created on
-     * first use at 0. Stable reference; read/write with atomic ops.
-     */
-    std::atomic<std::int64_t> &gauge(const std::string &name);
-
-    /** Current value of every gauge, keyed by name. */
-    std::map<std::string, std::int64_t> gaugeSnapshot() const;
-
-    /**
      * Emit the whole registry as one JSON object:
      *
      *   {"counters":{...},
      *    "streaming":{"name":{"count":..,"mean":..,"p50":..,"p90":..,
-     *                         "p99":..,"p999":..,"max":..},...},
-     *    "gauges":{"name":value,...}}
+     *                         "p99":..,"p999":..,"max":..},...}}
      */
     void writeJson(std::ostream &os) const;
 
@@ -79,8 +66,6 @@ class MetricsRegistry
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<StreamingHistogram>>
         streaming_;
-    std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>>
-        gauges_;
 };
 
 /** JSON-escape and quote @p s onto @p os. */

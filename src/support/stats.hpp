@@ -46,15 +46,12 @@ inline constexpr std::string_view kCounterNames[] = {
     "batch.failures",
     "batch.jobs",
     "cache.disk.dropped_read_only",
-    "cache.disk.footer_loads",
     "cache.disk.hits",
     "cache.disk.loaded_entries",
     "cache.disk.misses",
     "cache.disk.owned_shards",
     "cache.disk.ownership_promotions",
     "cache.disk.read_errors",
-    "cache.disk.remaps",
-    "cache.disk.scan_loads",
     "cache.disk.truncated_bytes",
     "cache.disk.write_errors",
     "cache.disk.writes",

@@ -72,23 +72,22 @@ struct ThreadBuffer
         std::uint64_t ticket = head.load(std::memory_order_relaxed);
         Slot &slot = slots[ticket & (kCapacity - 1)];
         // Claim: invalidates the old generation for concurrent drains.
-        // The release fence orders the claim before the payload stores
-        // (fence/fence seqlock idiom, pairing with the acquire fence in
-        // decodeSlot): a drainer that observed any new payload word is
-        // guaranteed to see seq != old generation on its re-check.
+        // Each payload store is a release, so it carries the claim with
+        // it (pairing with the acquire loads in decodeSlot): a drainer
+        // that observed any new payload word is guaranteed to see
+        // seq != old generation on its re-check.
         slot.seq.store(0, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_release);
         slot.word[0].store(
             packHeader(kind, name, argCount, argName0, argName1),
-            std::memory_order_relaxed);
+            std::memory_order_release);
         slot.word[1].store(static_cast<std::uint64_t>(tsNs),
-                           std::memory_order_relaxed);
+                           std::memory_order_release);
         slot.word[2].store(static_cast<std::uint64_t>(durNs),
-                           std::memory_order_relaxed);
+                           std::memory_order_release);
         slot.word[3].store(static_cast<std::uint64_t>(arg0),
-                           std::memory_order_relaxed);
+                           std::memory_order_release);
         slot.word[4].store(static_cast<std::uint64_t>(arg1),
-                           std::memory_order_relaxed);
+                           std::memory_order_release);
         // Publish payload under the new generation, then advance head.
         slot.seq.store(ticket + 1, std::memory_order_release);
         head.store(ticket + 1, std::memory_order_release);
@@ -194,14 +193,15 @@ decodeSlot(const ThreadBuffer &buffer, std::uint64_t ticket, Event &out,
         ok = false;
         return;
     }
-    std::uint64_t w0 = slot.word[0].load(std::memory_order_relaxed);
-    std::uint64_t w1 = slot.word[1].load(std::memory_order_relaxed);
-    std::uint64_t w2 = slot.word[2].load(std::memory_order_relaxed);
-    std::uint64_t w3 = slot.word[3].load(std::memory_order_relaxed);
-    std::uint64_t w4 = slot.word[4].load(std::memory_order_relaxed);
+    std::uint64_t w0 = slot.word[0].load(std::memory_order_acquire);
+    std::uint64_t w1 = slot.word[1].load(std::memory_order_acquire);
+    std::uint64_t w2 = slot.word[2].load(std::memory_order_acquire);
+    std::uint64_t w3 = slot.word[3].load(std::memory_order_acquire);
+    std::uint64_t w4 = slot.word[4].load(std::memory_order_acquire);
     // Re-check the generation: if an overwrite raced the copy above,
-    // the payload words may be torn across generations — discard.
-    std::atomic_thread_fence(std::memory_order_acquire);
+    // the payload words may be torn across generations — discard. A
+    // word read from a newer writer was an acquire of its release
+    // store, so that writer's claim is visible here.
     if (slot.seq.load(std::memory_order_relaxed) != ticket + 1) {
         ok = false;
         return;

@@ -26,7 +26,7 @@ namespace cs::wire {
 
 /** @name Raw little-endian loads/stores
  *  Shared by every fixed-layout on-disk/on-wire structure that is not
- *  written through ByteWriter (shard records and index footers in
+ *  written through ByteWriter (shard records in
  *  pipeline/persistent_cache, frame headers in serve/proto). Byte-wise,
  *  so they are endian- and alignment-safe on any host.
  */

@@ -74,19 +74,6 @@ moduloGoldens()
     return table;
 }
 
-Machine
-machineByName(const std::string &name)
-{
-    if (name == "central")
-        return makeCentral();
-    if (name == "clustered2")
-        return makeClustered({}, 2);
-    if (name == "clustered4")
-        return makeClustered({}, 4);
-    CS_ASSERT(name == "distributed", "unknown machine ", name);
-    return makeDistributed();
-}
-
 std::string
 goldenKey(const std::string &kernelName, const std::string &machineName)
 {
@@ -110,7 +97,7 @@ TEST_P(ModuloParallelGolden, MatchesSerialGoldens)
 {
     setVerboseLogging(false);
     const std::string machineName = GetParam();
-    Machine machine = machineByName(machineName);
+    Machine machine = makeStdMachine(machineName).value();
     ASSERT_FALSE(moduloGoldens().empty())
         << "golden_listings.txt has no pipelined entries";
 
@@ -187,7 +174,7 @@ TEST(ModuloParallel, AttemptAccountingReconcilesWithSerial)
     config.maxInFlight = 4;
 
     for (const char *machineName : {"central", "clustered2"}) {
-        Machine machine = machineByName(machineName);
+        Machine machine = makeStdMachine(machineName).value();
         for (const KernelSpec &spec : allKernels()) {
             Kernel kernel = spec.build();
             PipelineResult serial =

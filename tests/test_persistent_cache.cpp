@@ -3,9 +3,10 @@
  * Persistent schedule-cache suite: restart survival (disk-tier hits
  * after reopening the shard directory), crash safety (torn tails and
  * corrupt records degrade to truncation or a miss, never a crash),
- * duplicate-key last-wins semantics, the shared cache-counter JSON
- * emitters, and round-trip + fuzz coverage of the JobResult codec the
- * shard records are built from, records of older builds included.
+ * duplicate-key last-wins semantics, reads of records appended after
+ * the open, the shared cache-counter JSON emitters, and round-trip +
+ * fuzz coverage of the JobResult codec the shard records are built
+ * from; shards and records of older builds included.
  */
 
 #include <gtest/gtest.h>
@@ -14,11 +15,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/file.h>
+#include <unistd.h>
 
 #include "ir/builder.hpp"
 #include "kernels/kernels.hpp"
@@ -26,7 +32,6 @@
 #include "pipeline/persistent_cache.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/result_io.hpp"
-#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 
@@ -191,24 +196,10 @@ TEST(PersistentCache, CorruptRecordDetectedOnReopen)
         f.write(&byte, 1);
     }
 
-    {
-        // The footer survived (the flip hit the payload), so the O(1)
-        // reopen trusts it — but the read-time checksum catches the
-        // damage and the lookup degrades to a miss.
-        PersistentScheduleCache cache(16, dir, 1);
-        PersistentScheduleCache::DiskStats disk = cache.diskStats();
-        EXPECT_EQ(disk.footerLoads, 1u);
-        EXPECT_EQ(disk.loadedEntries, 1u);
-        EXPECT_EQ(cache.lookup(1), nullptr);
-        EXPECT_EQ(cache.diskStats().readErrors, 1u);
-    }
-
-    // A crashed daemon leaves no footer: the fallback scan finds the
-    // corruption at open, truncates the shard there, and self-heals.
-    ASSERT_EQ(PersistentScheduleCache::stripIndexFooters(dir), 1);
+    // The open scan finds the corruption, truncates the shard there,
+    // and self-heals.
     PersistentScheduleCache cache(16, dir, 1);
     PersistentScheduleCache::DiskStats disk = cache.diskStats();
-    EXPECT_EQ(disk.scanLoads, 1u);
     EXPECT_EQ(disk.loadedEntries, 0u);
     EXPECT_GT(disk.truncatedBytes, 0u);
     EXPECT_EQ(cache.lookup(1), nullptr);
@@ -253,223 +244,33 @@ TEST(PersistentCache, CorruptionAfterOpenDegradesToMiss)
     EXPECT_EQ(disk.misses, 1u);
 }
 
-/** Raw shard-record bytes for @p key, as a crashed or foreign writer
- *  would append them (no footer maintenance). */
-std::vector<std::uint8_t>
-rawRecord(std::uint64_t key, const JobResult &result)
+TEST(PersistentCache, RecordAppendedAfterOpenReadsFromDisk)
 {
-    std::vector<std::uint8_t> payload;
-    wire::ByteWriter writer(payload);
-    encodeJobResult(writer, result);
-    std::vector<std::uint8_t> record;
-    wire::appendU32le(record, kShardRecordMagic);
-    wire::appendU64le(record, key);
-    wire::appendU32le(record,
-                      static_cast<std::uint32_t>(payload.size()));
-    record.insert(record.end(), payload.begin(), payload.end());
-    wire::appendU64le(record,
-                      fnv1aBytes(payload.data(), payload.size()));
-    return record;
-}
-
-void
-appendBytes(const fs::path &file, const std::vector<std::uint8_t> &bytes)
-{
-    std::ofstream out(file, std::ios::binary | std::ios::app);
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-}
-
-TEST(PersistentCache, TornFooterFallsBackToScan)
-{
-    std::string dir = freshCacheDir("cache_torn_footer");
-    {
-        PersistentScheduleCache cache(16, dir, 1);
-        for (std::uint64_t key = 1; key <= 3; ++key)
-            cache.insert(key, sampleResult());
-    } // clean close appends the index footer
-    std::vector<fs::path> files = shardFiles(dir);
-    ASSERT_EQ(files.size(), 1u);
-    std::uintmax_t sizeWithFooter = fs::file_size(files[0]);
-
-    // A crash mid-footer-write: the tail (and its magic) never landed.
-    fs::resize_file(files[0], sizeWithFooter - 3);
-
-    PersistentScheduleCache cache(16, dir, 1);
-    PersistentScheduleCache::DiskStats disk = cache.diskStats();
-    EXPECT_EQ(disk.footerLoads, 0u);
-    EXPECT_EQ(disk.scanLoads, 1u);
-    EXPECT_EQ(disk.loadedEntries, 3u);
-    EXPECT_GT(disk.truncatedBytes, 0u); // the torn footer was cut off
-    for (std::uint64_t key = 1; key <= 3; ++key) {
-        std::shared_ptr<const JobResult> hit = cache.lookup(key);
-        ASSERT_NE(hit, nullptr) << "key " << key;
-        EXPECT_EQ(hit->listing, sampleResult()->listing);
-    }
-    EXPECT_EQ(cache.diskStats().readErrors, 0u);
-}
-
-TEST(PersistentCache, FlippedFooterChecksumFallsBackToScan)
-{
-    std::string dir = freshCacheDir("cache_footer_checksum");
+    std::string dir = freshCacheDir("cache_append_after_open");
     {
         PersistentScheduleCache cache(16, dir, 1);
         cache.insert(1, sampleResult());
-        cache.insert(2, otherResult());
     }
-    std::vector<fs::path> files = shardFiles(dir);
-    ASSERT_EQ(files.size(), 1u);
-    std::uintmax_t size = fs::file_size(files[0]);
-    {
-        // Flip one bit of the footer checksum (8 bytes before the tail
-        // magic): geometry and magics still hold, the checksum doesn't.
-        std::fstream f(files[0], std::ios::binary | std::ios::in |
-                                     std::ios::out);
-        f.seekg(static_cast<std::streamoff>(size - 12));
-        char byte = 0;
-        f.read(&byte, 1);
-        byte = static_cast<char>(byte ^ 0x01);
-        f.seekp(static_cast<std::streamoff>(size - 12));
-        f.write(&byte, 1);
-    }
+    // A one-entry memory tier over a shard that already holds key 1:
+    // key 2 is appended after the open, and inserting key 3 evicts it
+    // from memory, so the next lookup of key 2 must read the record
+    // this process appended.
+    PersistentScheduleCache cache(1, dir, 1);
+    ASSERT_EQ(cache.diskStats().loadedEntries, 1u);
+    cache.insert(2, otherResult());
+    cache.insert(3, sampleResult());
+    ASSERT_EQ(cache.stats().evictions, 1u);
 
-    {
-        PersistentScheduleCache cache(16, dir, 1);
-        PersistentScheduleCache::DiskStats disk = cache.diskStats();
-        EXPECT_EQ(disk.footerLoads, 0u);
-        EXPECT_EQ(disk.scanLoads, 1u);
-        EXPECT_EQ(disk.loadedEntries, 2u);
-        EXPECT_GT(disk.truncatedBytes, 0u);
-        std::shared_ptr<const JobResult> one = cache.lookup(1);
-        std::shared_ptr<const JobResult> two = cache.lookup(2);
-        ASSERT_NE(one, nullptr);
-        ASSERT_NE(two, nullptr);
-        EXPECT_EQ(one->listing, sampleResult()->listing);
-        EXPECT_EQ(two->listing, otherResult()->listing);
-    } // clean close writes a fresh, valid footer
-
-    PersistentScheduleCache reopened(16, dir, 1);
-    EXPECT_EQ(reopened.diskStats().footerLoads, 1u);
-    EXPECT_EQ(reopened.diskStats().loadedEntries, 2u);
-}
-
-TEST(PersistentCache, FooterEntryPastDataEndFallsBackToScan)
-{
-    std::string dir = freshCacheDir("cache_footer_bounds");
-    {
-        PersistentScheduleCache cache(16, dir, 1);
-        cache.insert(1, sampleResult());
-        cache.insert(2, sampleResult());
-    }
-    std::vector<fs::path> files = shardFiles(dir);
-    ASSERT_EQ(files.size(), 1u);
-    std::uintmax_t size = fs::file_size(files[0]);
-
-    // A correctly checksummed footer whose entry points past the
-    // records region: every field validates except the entry bounds,
-    // so trusting it blindly would index into nothing. The open must
-    // reject it and fall back to the scan.
-    std::vector<std::uint8_t> fake;
-    wire::appendU32le(fake, kShardFooterMagic);
-    wire::appendU64le(fake, 1); // one entry
-    wire::appendU64le(fake, 99);
-    wire::appendU64le(fake, size + 4096); // offset past EOF
-    wire::appendU32le(fake, 16);
-    wire::appendU64le(fake, size); // dataEnd: this footer's position
-    wire::appendU64le(fake, fnv1aBytes(fake.data(), fake.size()));
-    wire::appendU32le(fake, kShardFooterTailMagic);
-    appendBytes(files[0], fake);
-
-    PersistentScheduleCache cache(16, dir, 1);
-    PersistentScheduleCache::DiskStats disk = cache.diskStats();
-    EXPECT_EQ(disk.footerLoads, 0u);
-    EXPECT_EQ(disk.scanLoads, 1u);
-    EXPECT_EQ(disk.loadedEntries, 2u);
-    EXPECT_NE(cache.lookup(1), nullptr);
-    EXPECT_NE(cache.lookup(2), nullptr);
-    EXPECT_EQ(cache.lookup(99), nullptr);
-    EXPECT_EQ(cache.diskStats().readErrors, 0u);
-}
-
-TEST(PersistentCache, AppendAfterCleanCloseKeepsEveryRecord)
-{
-    std::string dir = freshCacheDir("cache_append_after_close");
-    {
-        PersistentScheduleCache cache(16, dir, 1);
-        cache.insert(1, sampleResult());
-    } // [rec1][footer]
-
-    {
-        // Reopen warm (O(1) footer load) and append: the stale footer
-        // is truncated before the new record lands, so the records
-        // region stays contiguous.
-        PersistentScheduleCache cache(16, dir, 1);
-        EXPECT_EQ(cache.diskStats().footerLoads, 1u);
-        cache.insert(2, sampleResult());
-        EXPECT_EQ(cache.diskStats().writes, 1u);
-    } // [rec1][rec2][footer]
-
-    {
-        PersistentScheduleCache cache(16, dir, 1);
-        EXPECT_EQ(cache.diskStats().footerLoads, 1u);
-        EXPECT_EQ(cache.diskStats().loadedEntries, 2u);
-        EXPECT_NE(cache.lookup(1), nullptr);
-        EXPECT_NE(cache.lookup(2), nullptr);
-    }
-
-    // A crashed foreign writer that appended past the footer without
-    // truncating it: the scan must skip the (valid, in-place) stale
-    // footer and keep both the old and the appended records.
-    std::vector<fs::path> files = shardFiles(dir);
-    ASSERT_EQ(files.size(), 1u);
-    appendBytes(files[0], rawRecord(3, *otherResult()));
-
-    PersistentScheduleCache cache(16, dir, 1);
-    PersistentScheduleCache::DiskStats disk = cache.diskStats();
-    EXPECT_EQ(disk.footerLoads, 0u);
-    EXPECT_EQ(disk.scanLoads, 1u);
-    EXPECT_EQ(disk.loadedEntries, 3u);
-    EXPECT_EQ(disk.truncatedBytes, 0u); // nothing was lost
+    std::shared_ptr<const JobResult> two = cache.lookup(2);
+    ASSERT_NE(two, nullptr);
+    EXPECT_EQ(two->listing, otherResult()->listing);
     std::shared_ptr<const JobResult> one = cache.lookup(1);
-    std::shared_ptr<const JobResult> three = cache.lookup(3);
     ASSERT_NE(one, nullptr);
-    ASSERT_NE(cache.lookup(2), nullptr);
-    ASSERT_NE(three, nullptr);
     EXPECT_EQ(one->listing, sampleResult()->listing);
-    EXPECT_EQ(three->listing, otherResult()->listing);
-}
-
-TEST(PersistentCache, StripIndexFootersForcesScanThenHeals)
-{
-    std::string dir = freshCacheDir("cache_strip");
-    {
-        PersistentScheduleCache cache(16, dir, 2);
-        for (std::uint64_t key = 1; key <= 3; ++key)
-            cache.insert(key, sampleResult());
-    }
-    // Both shards carry a footer; stripping emulates a crash that
-    // never reached the clean close.
-    EXPECT_EQ(PersistentScheduleCache::stripIndexFooters(dir), 2);
-    EXPECT_EQ(PersistentScheduleCache::stripIndexFooters(dir), 0);
-
-    {
-        PersistentScheduleCache cache(16, dir, 2);
-        PersistentScheduleCache::DiskStats disk = cache.diskStats();
-        EXPECT_EQ(disk.footerLoads, 0u);
-        EXPECT_EQ(disk.scanLoads, 2u);
-        EXPECT_EQ(disk.loadedEntries, 3u);
-        EXPECT_EQ(disk.truncatedBytes, 0u);
-        for (std::uint64_t key = 1; key <= 3; ++key) {
-            std::shared_ptr<const JobResult> hit = cache.lookup(key);
-            ASSERT_NE(hit, nullptr) << "key " << key;
-            EXPECT_EQ(hit->listing, sampleResult()->listing);
-        }
-    } // the clean close restores both footers
-
-    PersistentScheduleCache cache(16, dir, 2);
-    EXPECT_EQ(cache.diskStats().footerLoads, 2u);
-    EXPECT_EQ(cache.diskStats().scanLoads, 0u);
-    EXPECT_EQ(cache.diskStats().loadedEntries, 3u);
+    PersistentScheduleCache::DiskStats disk = cache.diskStats();
+    EXPECT_EQ(disk.hits, 2u);
+    EXPECT_EQ(disk.misses, 0u);
+    EXPECT_EQ(disk.readErrors, 0u);
 }
 
 TEST(PersistentCache, DuplicateKeysKeepLastRecord)
@@ -592,26 +393,22 @@ TEST(CacheCounterEmitters, SharedWritersMatchHandCounts)
     CounterSet diskSet;
     diskSet.bump(counter("cache.disk.loaded_entries"), 7);
     diskSet.bump(counter("cache.disk.truncated_bytes"), 24);
-    diskSet.bump(counter("cache.disk.footer_loads"), 3);
-    diskSet.bump(counter("cache.disk.scan_loads"), 1);
     diskSet.bump(counter("cache.disk.owned_shards"), 4);
     diskSet.bump(counter("cache.disk.hits"), 5);
     diskSet.bump(counter("cache.disk.misses"), 1);
     diskSet.bump(counter("cache.disk.read_errors"), 1);
     diskSet.bump(counter("cache.disk.writes"), 9);
     diskSet.bump(counter("cache.disk.dropped_read_only"), 2);
-    diskSet.bump(counter("cache.disk.remaps"), 6);
     diskSet.bump(counter("cache.disk.ownership_promotions"), 1);
     std::ostringstream diskJson;
     writeCounterObject(diskJson, diskSet, counterGroup("cache.disk."),
                        "cache.disk.");
     EXPECT_EQ(diskJson.str(),
-              "{\"dropped_read_only\":2,\"footer_loads\":3,"
-              "\"hits\":5,\"loaded_entries\":7,\"misses\":1,"
+              "{\"dropped_read_only\":2,\"hits\":5,"
+              "\"loaded_entries\":7,\"misses\":1,"
               "\"owned_shards\":4,\"ownership_promotions\":1,"
-              "\"read_errors\":1,\"remaps\":6,\"scan_loads\":1,"
-              "\"truncated_bytes\":24,\"write_errors\":0,"
-              "\"writes\":9}");
+              "\"read_errors\":1,\"truncated_bytes\":24,"
+              "\"write_errors\":0,\"writes\":9}");
 }
 
 TEST(ResultIo, RoundTripPreservesEveryField)
@@ -651,10 +448,10 @@ listedCounters(const CounterSet &stats)
     return out;
 }
 
-/** The Figure-4 motivating kernel block-scheduled on the Figure-5
- *  machine, as tests/result_record_v1.hex holds it (wallMs zeroed). */
+/** The Figure-4 motivating kernel block-scheduled on @p machine, as
+ *  the hex fixtures in tests/ hold it (wallMs zeroed). */
 JobResult
-figure4Result()
+figure4Result(const Machine &machine)
 {
     KernelBuilder b("figure4");
     b.block("body");
@@ -665,7 +462,6 @@ figure4Result()
     Val u = b.iadd(aa, cc, "u");
     b.store(200, t);
     b.store(201, u);
-    static Machine machine = makeFigure5Machine();
     ScheduleJob job;
     job.label = "figure4";
     job.kernel = b.take();
@@ -686,13 +482,12 @@ encodeRecord(const JobResult &result)
     return bytes;
 }
 
-TEST(ResultIo, DecodesRecordsWithRetiredCounters)
+/** The bytes of tests/@p name, a hex dump whose '#' lines are
+ *  comments; empty if the file is missing. */
+std::vector<std::uint8_t>
+hexFixture(const std::string &name)
 {
-    // A record encoded before comm_sched_calls and
-    // comm_sched_rejections were retired ('#' lines are comments).
-    std::ifstream in(std::string(CS_TEST_DATA_DIR) +
-                     "/result_record_v1.hex");
-    ASSERT_TRUE(in) << "missing tests/result_record_v1.hex";
+    std::ifstream in(std::string(CS_TEST_DATA_DIR) + "/" + name);
     std::string hex;
     for (std::string line; std::getline(in, line);) {
         if (!line.empty() && line[0] != '#')
@@ -703,6 +498,89 @@ TEST(ResultIo, DecodesRecordsWithRetiredCounters)
         bytes.push_back(static_cast<std::uint8_t>(
             std::stoul(hex.substr(i, 2), nullptr, 16)));
     }
+    return bytes;
+}
+
+std::vector<std::uint8_t>
+fileBytes(const fs::path &file)
+{
+    std::ifstream in(file, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST(PersistentCache, OpensShardWithIndexFooterFromOlderBuild)
+{
+    // A shard that a build with index footers closed cleanly: two
+    // records, then the 72-byte footer (magic, count, two entries,
+    // dataEnd, checksum, tail magic). The scan stops at the footer's
+    // magic, as it would at any torn tail.
+    const std::vector<std::uint8_t> shard =
+        hexFixture("shard_with_footer.hex");
+    constexpr std::size_t kFooterBytes = 4 + 8 + 2 * 20 + 8 + 8 + 4;
+    ASSERT_GT(shard.size(), kFooterBytes)
+        << "missing tests/shard_with_footer.hex";
+    std::string dir = freshCacheDir("cache_older_footer");
+    const fs::path file = fs::path(dir) / "shard-0.bin";
+    {
+        std::ofstream out(file, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(shard.data()),
+                  static_cast<std::streamsize>(shard.size()));
+    }
+    static const Machine figure5 = makeFigure5Machine();
+    static const Machine central = makeCentral();
+    const std::string firstListing = figure4Result(figure5).listing;
+    const std::string secondListing = figure4Result(central).listing;
+
+    {
+        // Hold the flock as a live owner of the older build would,
+        // without cutting the footer: this cache opens read-only,
+        // indexes both records and writes nothing.
+        int holder = ::open(file.c_str(), O_RDWR | O_CLOEXEC);
+        ASSERT_GE(holder, 0);
+        ASSERT_EQ(::flock(holder, LOCK_EX | LOCK_NB), 0);
+        {
+            PersistentScheduleCache reader(16, dir, 1);
+            PersistentScheduleCache::DiskStats disk = reader.diskStats();
+            EXPECT_EQ(disk.ownedShards, 0u);
+            EXPECT_EQ(disk.loadedEntries, 2u);
+            EXPECT_EQ(disk.truncatedBytes, 0u);
+            std::shared_ptr<const JobResult> one = reader.lookup(1);
+            std::shared_ptr<const JobResult> two = reader.lookup(2);
+            ASSERT_NE(one, nullptr);
+            ASSERT_NE(two, nullptr);
+            EXPECT_EQ(one->listing, firstListing);
+            EXPECT_EQ(two->listing, secondListing);
+        }
+        ::close(holder);
+        EXPECT_EQ(fileBytes(file), shard);
+    }
+
+    // An owner cuts exactly the footer off and keeps both records.
+    PersistentScheduleCache owner(16, dir, 1);
+    PersistentScheduleCache::DiskStats disk = owner.diskStats();
+    EXPECT_EQ(disk.ownedShards, 1u);
+    EXPECT_EQ(disk.loadedEntries, 2u);
+    EXPECT_EQ(disk.truncatedBytes, kFooterBytes);
+    EXPECT_EQ(fs::file_size(file), shard.size() - kFooterBytes);
+    EXPECT_EQ(fileBytes(file),
+              std::vector<std::uint8_t>(shard.begin(),
+                                        shard.end() - kFooterBytes));
+    std::shared_ptr<const JobResult> one = owner.lookup(1);
+    std::shared_ptr<const JobResult> two = owner.lookup(2);
+    ASSERT_NE(one, nullptr);
+    ASSERT_NE(two, nullptr);
+    EXPECT_EQ(one->listing, firstListing);
+    EXPECT_EQ(two->listing, secondListing);
+    EXPECT_EQ(owner.diskStats().readErrors, 0u);
+}
+
+TEST(ResultIo, DecodesRecordsWithRetiredCounters)
+{
+    // A record encoded before comm_sched_calls and
+    // comm_sched_rejections were retired.
+    std::vector<std::uint8_t> bytes = hexFixture("result_record_v1.hex");
+    ASSERT_FALSE(bytes.empty()) << "missing tests/result_record_v1.hex";
     std::string raw(bytes.begin(), bytes.end());
     ASSERT_NE(raw.find("comm_sched_calls"), std::string::npos);
     ASSERT_NE(raw.find("comm_sched_rejections"), std::string::npos);
@@ -714,7 +592,8 @@ TEST(ResultIo, DecodesRecordsWithRetiredCounters)
 
     // The retired names are skipped; every surviving counter, and the
     // schedule, equal a fresh run's.
-    JobResult fresh = figure4Result();
+    static const Machine figure5 = makeFigure5Machine();
+    JobResult fresh = figure4Result(figure5);
     ASSERT_TRUE(fresh.success);
     EXPECT_EQ(decoded.listing, fresh.listing);
     EXPECT_EQ(listedCounters(decoded.sched.stats),

@@ -195,19 +195,6 @@ kernelKeyOf(const KernelSpec &spec)
     return key;
 }
 
-Machine
-machineByName(const std::string &name)
-{
-    if (name == "central")
-        return makeCentral();
-    if (name == "clustered2")
-        return makeClustered({}, 2);
-    if (name == "clustered4")
-        return makeClustered({}, 4);
-    CS_ASSERT(name == "distributed", "unknown machine ", name);
-    return makeDistributed();
-}
-
 class SchedEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {};
@@ -216,7 +203,7 @@ TEST_P(SchedEquivalence, ListingsMatchGoldens)
 {
     setVerboseLogging(false);
     const auto &[machineName, pipelined] = GetParam();
-    Machine machine = machineByName(machineName);
+    Machine machine = makeStdMachine(machineName).value();
     const bool regen = writeGoldensRequested();
 
     for (const KernelSpec &spec : allKernels()) {
@@ -289,7 +276,7 @@ TEST_P(SchedEquivalenceBudgets, TightBudgetsPinOutcomeAndCounters)
 {
     setVerboseLogging(false);
     const std::string &machineName = GetParam();
-    Machine machine = machineByName(machineName);
+    Machine machine = makeStdMachine(machineName).value();
     for (const char *name : {"Sort", "Merge", "FFT", "DCT"}) {
         const KernelSpec &spec = kernelByName(name);
         Kernel kernel = spec.build();
@@ -338,7 +325,7 @@ TEST_P(GoldenViaPipeline, SharedAnalysisKeepsGoldenBytes)
     if (writeGoldensRequested())
         GTEST_SKIP() << "goldens are regenerated by SchedEquivalence";
     const auto &[machineName, pipelined] = GetParam();
-    Machine machine = machineByName(machineName);
+    Machine machine = makeStdMachine(machineName).value();
 
     std::vector<ScheduleJob> jobs;
     for (const KernelSpec &spec : allKernels()) {

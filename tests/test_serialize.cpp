@@ -37,22 +37,6 @@
 namespace cs {
 namespace {
 
-Machine
-machineByName(const std::string &name)
-{
-    if (name == "central")
-        return makeCentral();
-    if (name == "clustered2")
-        return makeClustered({}, 2);
-    if (name == "clustered4")
-        return makeClustered({}, 4);
-    CS_ASSERT(name == "distributed", "unknown machine ", name);
-    return makeDistributed();
-}
-
-const char *const kMachineNames[] = {"central", "clustered2",
-                                     "clustered4", "distributed"};
-
 std::vector<std::uint8_t>
 machineBytes(const Machine &machine)
 {
@@ -77,9 +61,9 @@ kernelBytes(const Kernel &kernel)
 
 TEST(SerializeMachine, TextRoundTripsAllEvaluationMachines)
 {
-    for (const char *name : kMachineNames) {
+    for (std::string_view name : kStdMachineStyles) {
         SCOPED_TRACE(name);
-        Machine machine = machineByName(name);
+        Machine machine = makeStdMachine(name).value();
         std::string text = printMachineToString(machine);
 
         std::optional<Machine> parsed;
@@ -95,9 +79,9 @@ TEST(SerializeMachine, TextRoundTripsAllEvaluationMachines)
 
 TEST(SerializeMachine, BinaryRoundTripsAllEvaluationMachines)
 {
-    for (const char *name : kMachineNames) {
+    for (std::string_view name : kStdMachineStyles) {
         SCOPED_TRACE(name);
-        Machine machine = machineByName(name);
+        Machine machine = makeStdMachine(name).value();
         std::vector<std::uint8_t> bytes = machineBytes(machine);
 
         wire::ByteReader reader(bytes);
@@ -449,8 +433,8 @@ TEST_P(SerializeParsedGolden, BlockListingsMatchGoldens)
     std::optional<Machine> machine;
     std::string error;
     ASSERT_TRUE(parseMachineText(
-        printMachineToString(machineByName(machineName)), &machine,
-        &error))
+        printMachineToString(makeStdMachine(machineName).value()),
+        &machine, &error))
         << error;
 
     for (const KernelSpec &spec : allKernels()) {

@@ -70,19 +70,6 @@ goldenTable()
     return table;
 }
 
-Machine
-machineByName(const std::string &name)
-{
-    if (name == "central")
-        return makeCentral();
-    if (name == "clustered2")
-        return makeClustered({}, 2);
-    if (name == "clustered4")
-        return makeClustered({}, 4);
-    CS_ASSERT(name == "distributed", "unknown machine ", name);
-    return makeDistributed();
-}
-
 class TraceEquivalence
     : public ::testing::TestWithParam<std::tuple<std::string, bool>>
 {};
@@ -91,7 +78,7 @@ TEST_P(TraceEquivalence, TracingOnMatchesGoldens)
 {
     setVerboseLogging(false);
     const auto &[machineName, pipelined] = GetParam();
-    Machine machine = machineByName(machineName);
+    Machine machine = makeStdMachine(machineName).value();
 
     const bool wasEnabled = trace::enabled();
     trace::setEnabled(true);
