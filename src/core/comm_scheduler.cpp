@@ -504,8 +504,9 @@ BlockScheduler::unitChoices(OperationId op, int cycle,
         // least-pressured class, so a copy on a saturated class (e.g.
         // the multipliers when one issues every cycle) does not steal
         // an issue slot the schedule cannot spare.
-        std::vector<RegFileId> residences =
-            valueResidences(operation.operands[0].value);
+        std::vector<RegFileId> &residences =
+            driverFrame(copyDepth).residences;
+        valueResidences(operation.operands[0].value, residences);
         auto reads_residence = [&](FuncUnitId fu) {
             const auto &readable = machine_.readableAnySlot(fu);
             for (RegFileId rf : residences) {
@@ -642,12 +643,13 @@ BlockScheduler::commsWritingAt(int cycle, std::vector<CommId> &out) const
     }
 }
 
-std::vector<RegFileId>
-BlockScheduler::valueResidences(ValueId value) const
+void
+BlockScheduler::valueResidences(ValueId value,
+                                std::vector<RegFileId> &residences) const
 {
     // Only the value's definition writes it: live-ins carry no write
     // stub, and a copy writes its own result, not its operand.
-    std::vector<RegFileId> residences;
+    residences.clear();
     for (CommId id : comms_.writtenBy(kernel_.value(value).def)) {
         const Communication &comm = comms_.get(id);
         if (!comm.active || !comm.writeStub)
@@ -659,7 +661,6 @@ BlockScheduler::valueResidences(ValueId value) const
             residences.push_back(rf);
         }
     }
-    return residences;
 }
 
 bool

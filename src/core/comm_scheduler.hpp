@@ -227,9 +227,11 @@ class BlockScheduler
 
     /**
      * Register files the value currently lands in: the targets of the
-     * assigned write stubs of its communications.
+     * assigned write stubs of its communications, into @p residences
+     * (cleared first).
      */
-    std::vector<RegFileId> valueResidences(ValueId value) const;
+    void valueResidences(ValueId value,
+                         std::vector<RegFileId> &residences) const;
 
     /** @name Cycle bookkeeping */
     /// @{
@@ -564,6 +566,9 @@ class BlockScheduler
                               FuncUnitId>>
             ranked;
         std::vector<CommId> closing;
+        /** unitChoices' valueResidences of a copy's operand; read
+         *  only by its ranking sort, which does not re-enter. */
+        std::vector<RegFileId> residences;
     };
     mutable std::vector<DriverScratch> driverScratch_;
     DriverScratch &driverFrame(int copyDepth) const

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <ostream>
 #include <thread>
+#include <utility>
 
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
@@ -11,13 +12,24 @@
 
 namespace cs {
 
+struct SchedulingPipeline::Joiner
+{
+    /** Kept alive by done (submit) or by run()'s caller: a cancelled
+     *  leader's joiner schedules it for itself. */
+    const ScheduleJob *job;
+    /** When the joiner attached: its wall time is its wait. */
+    Clock::time_point since;
+    Completion done;
+};
+
 /**
  * Rendezvous for duplicate in-flight jobs: the leader schedules and
- * publishes its shared result here; joiners block on the condition
- * variable, then copy the result out after releasing the lock. Held by
- * shared_ptr so a leader that finishes after its key was already
- * re-inserted (or the map cleared) still has a live object to publish
- * into.
+ * publishes its shared result here. An unarmed joiner leaves a Joiner
+ * that the leader completes after publishing; an armed joiner blocks
+ * on the condition variable, then copies the result out after
+ * releasing the lock. Held by shared_ptr so a leader that finishes
+ * after its key was already re-inserted (or the map cleared) still has
+ * a live object to publish into.
  */
 struct SchedulingPipeline::InFlightJob
 {
@@ -25,6 +37,7 @@ struct SchedulingPipeline::InFlightJob
     std::condition_variable cv;
     bool done = false;
     std::shared_ptr<const JobResult> result;
+    std::vector<Joiner> joiners;
 };
 
 namespace {
@@ -92,31 +105,47 @@ SchedulingPipeline::run(const std::vector<ScheduleJob> &jobs)
     std::vector<JobResult> results(jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         bool accepted = pool_.submit([this, &jobs, &results, i] {
-            results[i] = runOne(jobs[i], scheduleJobKey(jobs[i]));
+            runOne(jobs[i], scheduleJobKey(jobs[i]), false,
+                   [&results, i](JobResult result) {
+                       results[i] = std::move(result);
+                   });
         });
         CS_ASSERT(accepted, "pipeline pool rejected a job");
     }
+    // A joiner's completion runs inside its leader's task, so this
+    // also waits for every result.
     pool_.waitIdle();
     return results;
 }
 
 bool
-SchedulingPipeline::submit(ScheduleJob job,
-                           std::function<void(JobResult)> done)
+SchedulingPipeline::submit(ScheduleJob job, Completion done)
 {
-    return pool_.submit(
-        [this, job = std::move(job), done = std::move(done)] {
-            done(runOne(job, scheduleJobKey(job)));
-        });
+    return enqueue(std::move(job), std::nullopt, std::move(done));
 }
 
 bool
 SchedulingPipeline::submit(ScheduleJob job, std::uint64_t key,
-                           std::function<void(JobResult)> done)
+                           Completion done)
 {
+    return enqueue(std::move(job), key, std::move(done));
+}
+
+bool
+SchedulingPipeline::enqueue(ScheduleJob job,
+                            std::optional<std::uint64_t> key,
+                            Completion done)
+{
+    // A joiner's completion outlives this task (its leader runs it),
+    // so the completion owns the job.
+    auto owned = std::make_shared<const ScheduleJob>(std::move(job));
+    Completion owning = [owned, done = std::move(done)](JobResult r) {
+        done(std::move(r));
+    };
     return pool_.submit(
-        [this, job = std::move(job), key, done = std::move(done)] {
-            done(runOne(job, key, true));
+        [this, owned, key, owning = std::move(owning)]() mutable {
+            runOne(*owned, key ? *key : scheduleJobKey(*owned),
+                   key.has_value(), std::move(owning));
         });
 }
 
@@ -178,64 +207,124 @@ SchedulingPipeline::countScheduled(const JobResult &result)
     stats_.merge(result.sched.stats);
 }
 
-JobResult
+void
+SchedulingPipeline::lead(const ScheduleJob &job, std::uint64_t key,
+                         const std::shared_ptr<InFlightJob> &flight,
+                         const Completion &done)
+{
+    // One shared result serves the cache, the joiners and our copy.
+    auto result = std::make_shared<const JobResult>(scheduleOne(job));
+    // A cancelled result reflects the caller's deadline, not the job's
+    // content — caching it would serve a stale abort to future callers.
+    if (!result->cancelled)
+        cache_.insert(key, result);
+
+    std::vector<Joiner> joiners;
+    if (flight != nullptr) {
+        // Retire the key first so late arrivals start a fresh run (or
+        // hit the cache) instead of attaching to a completed flight,
+        // then publish: take the attached joiners and wake the armed
+        // ones waiting.
+        {
+            std::lock_guard<std::mutex> lock(inflightMutex_);
+            inflight_.erase(key);
+        }
+        {
+            std::lock_guard<std::mutex> lock(flight->mutex);
+            flight->result = result;
+            flight->done = true;
+            joiners.swap(flight->joiners);
+        }
+        flight->cv.notify_all();
+    }
+
+    countScheduled(*result);
+    done(*result);
+    for (Joiner &joiner : joiners) {
+        if (!result->cancelled) {
+            completeJoin(*result, joiner.since, joiner.done);
+            continue;
+        }
+        // Only an armed leader is cancelled, by its own deadline; its
+        // result says nothing about the joiners. Each schedules for
+        // itself as its own task. A pool that is shutting down refuses
+        // the task: then it runs here, so no completion is dropped.
+        auto retry = [this, key, joiner = std::move(joiner)] {
+            lead(*joiner.job, key, nullptr, joiner.done);
+        };
+        if (!pool_.submit(retry))
+            retry();
+    }
+}
+
+void
 SchedulingPipeline::joinInFlight(const ScheduleJob &job,
-                                 std::uint64_t key, InFlightJob &flight)
+                                 std::uint64_t key, InFlightJob &flight,
+                                 Completion done)
 {
     auto start = Clock::now();
     std::shared_ptr<const JobResult> led;
     {
         std::unique_lock<std::mutex> lock(flight.mutex);
-        while (!flight.done) {
-            if (job.abortFlag != nullptr &&
-                job.abortFlag->load(std::memory_order_relaxed)) {
-                // Our deadline, not the leader's: abandon the join.
-                JobResult out;
-                out.cancelled = true;
-                out.wallMs = msSince(start);
-                stats_.bump(counter("pipeline.jobs"));
-                stats_.bump(counter("pipeline.dedup_joins"));
-                stats_.bump(counter("pipeline.cancelled"));
-                return out;
-            }
-            // Timed wait only to poll the abort flag; an unarmed job
-            // sleeps until the leader's notify.
-            if (job.abortFlag != nullptr) {
-                flight.cv.wait_for(lock, std::chrono::milliseconds(1));
-            } else {
-                flight.cv.wait(lock);
-            }
+        if (!flight.done && job.abortFlag == nullptr) {
+            // Attach: the leader completes us after it publishes, and
+            // this worker takes the next task meanwhile.
+            flight.joiners.push_back({&job, start, std::move(done)});
+            return;
         }
+        // Armed: wait here, since only a waiting thread can answer at
+        // our own deadline. The timed wait only polls the flag.
+        while (!flight.done &&
+               !job.abortFlag->load(std::memory_order_relaxed))
+            flight.cv.wait_for(lock, std::chrono::milliseconds(1));
         led = flight.result;
     }
-    if (!led->cancelled) {
-        JobResult out = *led;
+    if (led == nullptr) {
+        // Our deadline, not the leader's: abandon the join.
+        JobResult out;
+        out.cancelled = true;
         out.wallMs = msSince(start);
         stats_.bump(counter("pipeline.jobs"));
         stats_.bump(counter("pipeline.dedup_joins"));
-        if (!out.success)
-            stats_.bump(counter("pipeline.failures"));
-        return out;
+        stats_.bump(counter("pipeline.cancelled"));
+        done(std::move(out));
+        return;
     }
-    // The leader hit *its* deadline; its result says nothing about
-    // ours. Schedule for ourselves (rare: only under cancellation).
-    auto result = std::make_shared<const JobResult>(scheduleOne(job));
-    if (!result->cancelled)
-        cache_.insert(key, result);
-    countScheduled(*result);
-    return *result;
+    if (led->cancelled) {
+        // The leader hit *its* deadline; its result says nothing about
+        // ours. Schedule for ourselves (rare: only under cancellation).
+        lead(job, key, nullptr, done);
+        return;
+    }
+    completeJoin(*led, start, done);
 }
 
-JobResult
+void
+SchedulingPipeline::completeJoin(const JobResult &led,
+                                 Clock::time_point since,
+                                 const Completion &done)
+{
+    JobResult out = led;
+    out.wallMs = msSince(since);
+    stats_.bump(counter("pipeline.jobs"));
+    stats_.bump(counter("pipeline.dedup_joins"));
+    if (!out.success)
+        stats_.bump(counter("pipeline.failures"));
+    done(std::move(out));
+}
+
+void
 SchedulingPipeline::runOne(const ScheduleJob &job, std::uint64_t key,
-                           bool reprobe)
+                           bool reprobe, Completion done)
 {
     auto start = Clock::now();
     // The hit path *is* the serving fast path: runOne and the
     // reader-thread probe in serve/server.cpp must count and shape
     // hits identically, so both go through probeCached.
-    if (auto cached = probeCached(key, !reprobe))
-        return copyHit(*cached, start);
+    if (auto cached = probeCached(key, !reprobe)) {
+        done(copyHit(*cached, start));
+        return;
+    }
     CS_TRACE_INSTANT1("cache_probe", "hit", 0);
 
     // Singleflight: concurrent duplicates all miss the cache (the
@@ -253,34 +342,10 @@ SchedulingPipeline::runOne(const ScheduleJob &job, std::uint64_t key,
     }
     if (!leader) {
         CS_TRACE_INSTANT1("dedup_join", "hit", 1);
-        return joinInFlight(job, key, *flight);
+        joinInFlight(job, key, *flight, std::move(done));
+        return;
     }
-
-    // One shared result serves the cache, the joiners and our copy.
-    auto result = std::make_shared<const JobResult>(scheduleOne(job));
-    // A cancelled result reflects the caller's deadline, not the job's
-    // content — caching it would serve a stale abort to future callers.
-    if (!result->cancelled)
-        cache_.insert(key, result);
-
-    if (flight != nullptr) {
-        // Retire the key first so late arrivals start a fresh run (or
-        // hit the cache) instead of attaching to a completed flight,
-        // then publish for the joiners already attached.
-        {
-            std::lock_guard<std::mutex> lock(inflightMutex_);
-            inflight_.erase(key);
-        }
-        {
-            std::lock_guard<std::mutex> lock(flight->mutex);
-            flight->result = result;
-            flight->done = true;
-        }
-        flight->cv.notify_all();
-    }
-
-    countScheduled(*result);
-    return *result;
+    lead(job, key, flight, done);
 }
 
 CounterSet

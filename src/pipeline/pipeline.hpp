@@ -19,6 +19,7 @@
 #ifndef CS_PIPELINE_PIPELINE_HPP
 #define CS_PIPELINE_PIPELINE_HPP
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -99,7 +100,8 @@ struct PipelineConfig
     /**
      * Coalesce identical in-flight jobs: a job whose full content key
      * matches one currently scheduling attaches to that run's result
-     * instead of scheduling again ("pipeline.dedup_joins"). Closes
+     * instead of scheduling again ("pipeline.dedup_joins"), and its
+     * worker takes the next task until the leader delivers. Closes
      * the thundering-herd window the result cache cannot: concurrent
      * duplicates all miss before the first insert lands. Results stay
      * byte-identical; only wall time and counters differ.
@@ -125,15 +127,21 @@ class SchedulingPipeline
      */
     std::vector<JobResult> run(const std::vector<ScheduleJob> &jobs);
 
+    /** Receives one job's result; called exactly once per job. */
+    using Completion = std::function<void(JobResult)>;
+
     /**
      * Asynchronous single-job entry point for serving front-ends:
      * enqueue one job and invoke @p done with its result on a worker
-     * thread. Unlike run(), submit() is safe to call concurrently from
-     * many threads (each request closes over its own inputs and
-     * callback). Returns false if the pool has shut down. The caller
-     * keeps the job's kernel/machine alive until @p done runs.
+     * thread — the job's own, or, when the job attached to an
+     * identical in-flight run, that run's leader's once it publishes.
+     * Unlike run(), submit() is safe to call concurrently from many
+     * threads (each request closes over its own inputs and callback).
+     * Returns false if the pool has shut down. The job is owned by
+     * @p done's wrapper until it has run; the caller keeps the job's
+     * machine alive until @p done runs.
      */
-    bool submit(ScheduleJob job, std::function<void(JobResult)> done);
+    bool submit(ScheduleJob job, Completion done);
 
     /**
      * submit() for a caller that already holds the job's content key,
@@ -141,9 +149,9 @@ class SchedulingPipeline
      * coalesces and inserts under @p key without hashing the job again.
      * Its re-probe catches an identical job finished since; a hit there
      * counts as any hit, a miss counts nothing (the caller's did).
+     * @p done runs as submit(job, done)'s does.
      */
-    bool submit(ScheduleJob job, std::uint64_t key,
-                std::function<void(JobResult)> done);
+    bool submit(ScheduleJob job, std::uint64_t key, Completion done);
 
     /**
      * Synchronous cache probe by content key, for serving fast paths.
@@ -200,18 +208,55 @@ class SchedulingPipeline
     unsigned numThreads() const { return pool_.size(); }
 
   private:
-    /** One in-flight scheduling run joiners can attach to. */
+    using Clock = std::chrono::steady_clock;
+    /**
+     * One in-flight scheduling run: its leader's published result, the
+     * completions of the unarmed joiners attached to it, and the
+     * condition variable armed joiners wait on.
+     */
     struct InFlightJob;
+    /** An unarmed joiner's completion, attached to an InFlightJob. */
+    struct Joiner;
 
-    /** Probe, coalesce or schedule one job whose content key is @p key;
-     *  @p reprobe when the caller's probe already counted a miss. */
-    JobResult runOne(const ScheduleJob &job, std::uint64_t key,
-                     bool reprobe = false);
+    /** Both submit()s: hash on the worker when @p key is empty. */
+    bool enqueue(ScheduleJob job, std::optional<std::uint64_t> key,
+                 Completion done);
+    /**
+     * Probe, coalesce or schedule one job whose content key is @p key
+     * (@p reprobe when the caller's probe already counted a miss), and
+     * pass its result to @p done exactly once: at once on a hit or for
+     * a leader, later for a joiner. @p job must live until @p done has
+     * run: run()'s jobs outlive waitIdle(), and submit()'s completion
+     * owns its job.
+     */
+    void runOne(const ScheduleJob &job, std::uint64_t key, bool reprobe,
+                Completion done);
     /** Schedule (no cache probe), via the shared analysis cache. */
     JobResult scheduleOne(const ScheduleJob &job);
-    /** Block until the leader finishes, then adopt its result. */
-    JobResult joinInFlight(const ScheduleJob &job, std::uint64_t key,
-                           InFlightJob &flight);
+    /**
+     * Schedule @p job, cache its result unless cancelled, publish it
+     * to @p flight (null when dedup is off, or for a joiner whose
+     * leader was cancelled), then complete @p job and every joiner
+     * attached to the flight, on this worker and after releasing every
+     * lock. A cancelled result completes no joiner: each schedules for
+     * itself, as its own pool task.
+     */
+    void lead(const ScheduleJob &job, std::uint64_t key,
+              const std::shared_ptr<InFlightJob> &flight,
+              const Completion &done);
+    /**
+     * Coalesce with the run in @p flight. An unarmed job whose leader
+     * has not published attaches its completion to the flight and
+     * returns, freeing its worker for the next task. An armed job
+     * (ScheduleJob::abortFlag) waits on its worker, polling its flag,
+     * because only a waiting thread can answer at its own deadline.
+     */
+    void joinInFlight(const ScheduleJob &job, std::uint64_t key,
+                      InFlightJob &flight, Completion done);
+    /** Complete a joiner with its leader's uncancelled result @p led;
+     *  its wall time is its wait since @p since. */
+    void completeJoin(const JobResult &led, Clock::time_point since,
+                      const Completion &done);
     /** The counter bumps of a job this pipeline scheduled itself. */
     void countScheduled(const JobResult &result);
 

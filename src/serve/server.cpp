@@ -667,7 +667,9 @@ ScheduleServer::handleRequest(
     // The job runs against the machine the state keeps alive.
     job->machine =
         &state->jobs.machines[state->jobs.jobs.front().machineIndex];
-    job->abortFlag = &state->abort;
+    // Arm only a request with a deadline: an unarmed duplicate frees
+    // its worker while its twin schedules (DESIGN.md §5i).
+    job->abortFlag = state->hasDeadline ? &state->abort : nullptr;
     state->dispatched = Clock::now();
     bool submitted = pipeline_.submit(
         std::move(*job), key, [this, state](JobResult result) {

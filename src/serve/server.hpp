@@ -15,14 +15,17 @@
  * connection and responses may interleave in completion order (the
  * echoed requestId pairs them).
  *
- * Deadlines are cooperative: each admitted request carries an abort
- * flag plumbed down to the scheduler's budget checkpoints
- * (ScheduleJob::abortFlag); the watcher raises the flag when the
- * deadline passes and the job unwinds at its next checkpoint,
- * returning DeadlineExceeded. A request whose deadline is already
- * expired on arrival (deadlineMs < 0) is answered without any
- * scheduling work. Results produced under an armed-but-unraised flag
- * are byte-identical to unarmed runs, so serving never perturbs
+ * Deadlines are cooperative: each admitted request with a deadline
+ * carries an abort flag plumbed down to the scheduler's budget
+ * checkpoints (ScheduleJob::abortFlag); the watcher raises the flag
+ * when the deadline passes and the job unwinds at its next
+ * checkpoint, returning DeadlineExceeded. Only such a request is
+ * armed: an armed duplicate of an in-flight job waits on its worker
+ * to watch its flag, while an unarmed one frees its worker until its
+ * twin's run completes it (DESIGN.md §5i). A request whose deadline
+ * is already expired on arrival (deadlineMs < 0) is answered without
+ * any scheduling work. Results produced under an armed-but-unraised
+ * flag are byte-identical to unarmed runs, so serving never perturbs
  * schedules.
  *
  * Shutdown is a graceful drain: stop() closes the listener, answers

@@ -8,7 +8,9 @@
  * context), and the pipeline's in-flight coalescing: N identical jobs
  * submitted together schedule exactly once, the other N-1 attach to
  * the leader's run, and every result is byte-identical to a singleton
- * run.
+ * run. An unarmed joiner attaches a completion and frees its worker;
+ * an armed one waits so it can answer at its own deadline; the
+ * joiners of a cancelled leader schedule for themselves.
  *
  * Suite names matter: "ContextCache*" and "PipelineDedup*" are part
  * of the CS_SANITIZE_TESTS filter (tests/CMakeLists.txt and
@@ -17,9 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/export.hpp"
@@ -305,6 +312,204 @@ TEST(PipelineDedup, DisabledDedupNeverJoins)
     EXPECT_EQ(stats.get("pipeline.jobs"),
               stats.get("pipeline.cache_hits") +
                   stats.get("pipeline.cache_misses"));
+}
+
+/** A plain block job for @p name on @p machine. */
+ScheduleJob
+blockJob(const char *name, const Machine &machine)
+{
+    ScheduleJob job;
+    job.label = name;
+    job.kernel = kernel(name);
+    job.block = BlockId(0);
+    job.machine = &machine;
+    job.pipelined = false;
+    return job;
+}
+
+/** Completions in the order they arrive, each under a tag. */
+class Arrivals
+{
+  public:
+    SchedulingPipeline::Completion to(std::string tag)
+    {
+        return [this, tag = std::move(tag)](JobResult result) {
+            std::lock_guard<std::mutex> lock(mutex_);
+            results_.emplace_back(tag, std::move(result));
+        };
+    }
+
+    bool has(const std::string &tag) const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        for (const auto &[t, result] : results_)
+            if (t == tag)
+                return true;
+        return false;
+    }
+
+    /** Spin until @p ready holds. */
+    static void waitFor(const std::function<bool()> &ready)
+    {
+        while (!ready())
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+
+    /** Read once every job has completed (after waitIdle). */
+    const std::vector<std::pair<std::string, JobResult>> &all() const
+    {
+        return results_;
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::vector<std::pair<std::string, JobResult>> results_;
+};
+
+void
+expectJobsAddUp(const SchedulingPipeline &pipeline)
+{
+    CounterSet stats = pipeline.statsSnapshot();
+    EXPECT_EQ(stats.get("pipeline.jobs"),
+              stats.get("pipeline.cache_hits") +
+                  stats.get("pipeline.cache_misses") +
+                  stats.get("pipeline.dedup_joins"));
+}
+
+/**
+ * A joiner gives its worker back. Two workers: one leads a Sort on the
+ * distributed machine (tens of ms), the other attaches both Sort copies
+ * and goes on to a cheap FIR-INT job, which therefore completes first.
+ * A joiner that blocked its worker would hold the FIR-INT job until
+ * the Sort finished.
+ */
+TEST(PipelineDedup, JoinerReturnsItsWorker)
+{
+    setVerboseLogging(false);
+    Machine distributed = makeDistributed();
+    Machine central = makeCentral();
+    JobResult reference = runScheduleJob(blockJob("Sort", distributed));
+    ASSERT_TRUE(reference.success);
+
+    Arrivals arrivals; // outlives the pipeline's workers
+    PipelineConfig config;
+    config.numThreads = 2;
+    SchedulingPipeline pipeline(config);
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(pipeline.submit(blockJob("Sort", distributed),
+                                    arrivals.to("Sort")));
+    ASSERT_TRUE(pipeline.submit(blockJob("FIR-INT", central),
+                                arrivals.to("FIR-INT")));
+    pipeline.waitIdle();
+
+    const auto &all = arrivals.all();
+    ASSERT_EQ(all.size(), 4u);
+    EXPECT_EQ(all.front().first, "FIR-INT")
+        << "a Sort copy held its worker until the Sort finished";
+    for (const auto &[tag, result] : all) {
+        ASSERT_TRUE(result.success) << tag;
+        if (tag == "Sort") {
+            EXPECT_EQ(result.listing, reference.listing);
+        }
+    }
+    CounterSet stats = pipeline.statsSnapshot();
+    EXPECT_EQ(stats.get("pipeline.jobs"), 4u);
+    EXPECT_EQ(stats.get("pipeline.cache_misses"), 2u);
+    expectJobsAddUp(pipeline);
+}
+
+/**
+ * Only an armed leader can be cancelled, and by its own deadline; an
+ * unarmed copy attached to it must still get a schedule. The armed Sort
+ * registers before its copy is submitted, so the copy coalesces with
+ * it; a FIR-INT job queued behind the copy on the one free worker
+ * completes once the copy has attached, and then the flag goes up.
+ */
+TEST(PipelineDedup, CancelledLeaderStillSchedulesItsJoiners)
+{
+    setVerboseLogging(false);
+    Machine distributed = makeDistributed();
+    Machine central = makeCentral();
+    JobResult reference = runScheduleJob(blockJob("Sort", distributed));
+    ASSERT_TRUE(reference.success);
+
+    Arrivals arrivals;
+    std::atomic<bool> abort{false};
+    PipelineConfig config;
+    config.numThreads = 2;
+    SchedulingPipeline pipeline(config);
+    ScheduleJob armed = blockJob("Sort", distributed);
+    armed.abortFlag = &abort;
+    ASSERT_TRUE(pipeline.submit(std::move(armed), arrivals.to("armed")));
+    Arrivals::waitFor([&] {
+        return pipeline.inflightDepth() > 0 || arrivals.has("armed");
+    });
+    ASSERT_TRUE(pipeline.submit(blockJob("Sort", distributed),
+                                arrivals.to("copy")));
+    ASSERT_TRUE(pipeline.submit(blockJob("FIR-INT", central),
+                                arrivals.to("FIR-INT")));
+    Arrivals::waitFor([&] { return arrivals.has("FIR-INT"); });
+    abort.store(true);
+    pipeline.waitIdle();
+
+    ASSERT_EQ(arrivals.all().size(), 3u);
+    for (const auto &[tag, result] : arrivals.all()) {
+        if (tag == "armed") {
+            EXPECT_TRUE(result.cancelled);
+            EXPECT_FALSE(result.success);
+        } else if (tag == "copy") {
+            EXPECT_FALSE(result.cancelled);
+            ASSERT_TRUE(result.success);
+            EXPECT_EQ(result.listing, reference.listing);
+        }
+    }
+    EXPECT_GE(pipeline.statsSnapshot().get("pipeline.cancelled"), 1u);
+    expectJobsAddUp(pipeline);
+}
+
+/**
+ * An armed joiner still waits on its worker, polling its flag, so it is
+ * answered at its own deadline: cancelled while its unarmed leader is
+ * still scheduling, and without touching the leader's result.
+ */
+TEST(PipelineDedup, ArmedJoinerAnswersAtItsDeadline)
+{
+    setVerboseLogging(false);
+    Machine distributed = makeDistributed();
+    JobResult reference = runScheduleJob(blockJob("Sort", distributed));
+    ASSERT_TRUE(reference.success);
+
+    Arrivals arrivals;
+    std::atomic<bool> abort{false};
+    PipelineConfig config;
+    config.numThreads = 2;
+    SchedulingPipeline pipeline(config);
+    ASSERT_TRUE(pipeline.submit(blockJob("Sort", distributed),
+                                arrivals.to("leader")));
+    Arrivals::waitFor([&] {
+        return pipeline.inflightDepth() > 0 || arrivals.has("leader");
+    });
+    ScheduleJob armed = blockJob("Sort", distributed);
+    armed.abortFlag = &abort;
+    ASSERT_TRUE(pipeline.submit(std::move(armed), arrivals.to("copy")));
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    abort.store(true);
+    pipeline.waitIdle();
+
+    const auto &all = arrivals.all();
+    ASSERT_EQ(all.size(), 2u);
+    EXPECT_EQ(all.front().first, "copy")
+        << "the armed copy waited for its leader past its deadline";
+    for (const auto &[tag, result] : all) {
+        if (tag == "copy") {
+            EXPECT_TRUE(result.cancelled);
+        } else {
+            ASSERT_TRUE(result.success);
+            EXPECT_FALSE(result.cancelled);
+            EXPECT_EQ(result.listing, reference.listing);
+        }
+    }
+    expectJobsAddUp(pipeline);
 }
 
 } // namespace

@@ -34,6 +34,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <span>
@@ -1143,6 +1144,63 @@ TEST(Serve, ColdRequestsCountOneMissPerTier)
     EXPECT_EQ(stats.get("cache.disk.misses"), n);
     EXPECT_EQ(stats.get("cache.memory.hits"), n);
     EXPECT_EQ(stats.get("pipeline.cache_hits"), n);
+}
+
+TEST(Serve, DuplicateColdRequestsShareOneRun)
+{
+    // Two clients send one never-seen job with no deadline at once.
+    // Neither request is armed, so the later one attaches to the
+    // earlier one's run, or hits the cache if that run has finished:
+    // the job is scheduled once and both replies carry its listing.
+    // Each cold request still counts its own memory-tier miss on the
+    // reader thread, so only the pipeline's miss count is pinned.
+    setVerboseLogging(false);
+    serve::ServerConfig config =
+        baseConfig(testSocketPath("duplicate_cold"));
+    serve::ScheduleServer server(config);
+    ASSERT_TRUE(server.start());
+
+    serve::JobSet set;
+    set.machines.push_back(makeDistributed());
+    set.kernels.push_back(kernelByName("Sort").build());
+    serve::JobDescription job;
+    job.label = "Sort";
+    job.pipelined = false;
+    set.jobs.push_back(std::move(job));
+    const std::string expected = localListing(set);
+
+    constexpr int kClients = 2;
+    std::latch start(kClients);
+    serve::Response responses[kClients];
+    std::string errors[kClients];
+    bool answered[kClients] = {};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+        clients.emplace_back([&, c] {
+            serve::ScheduleClient client;
+            bool connected = client.connect(config.socketPath, &errors[c]);
+            start.arrive_and_wait();
+            answered[c] = connected && client.schedule(set, 0, &responses[c],
+                                                       &errors[c]);
+        });
+    }
+    for (std::thread &client : clients)
+        client.join();
+    for (int c = 0; c < kClients; ++c) {
+        ASSERT_TRUE(answered[c]) << errors[c];
+        EXPECT_EQ(responses[c].status, serve::ResponseStatus::Ok)
+            << responses[c].message;
+        EXPECT_EQ(responses[c].listing, expected);
+    }
+    CounterSet stats = server.counterSnapshot();
+    EXPECT_EQ(stats.get("pipeline.cache_misses"), 1u);
+    EXPECT_EQ(stats.get("pipeline.jobs"),
+              static_cast<std::uint64_t>(kClients));
+    EXPECT_EQ(stats.get("pipeline.jobs"),
+              stats.get("pipeline.cache_hits") +
+                  stats.get("pipeline.cache_misses") +
+                  stats.get("pipeline.dedup_joins"));
+    server.stop();
 }
 
 TEST(Serve, TwoDaemonsShareCacheDirectoryViaFlock)
