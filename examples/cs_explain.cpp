@@ -231,11 +231,11 @@ main(int argc, char **argv)
 
     // The adaptive II search's decisions for this block (pipelined
     // runs): the classifier features that key the portfolio, the mode
-    // the planner chose, and the (ii, variant) attempt order actually
-    // launched — reconstructed from the ii_attempt trace spans.
-    // Nothing here is freshly instrumented: the features recompute
-    // from the public context, the rest reads the spans and the
-    // ii_search.* counters the search already emits.
+    // the plan chose, and the (ii, variant) attempts in the order
+    // they started — ascending, the only launch order — read from the
+    // ii_attempt trace spans. Nothing here is freshly instrumented:
+    // the features recompute from the public context, the rest reads
+    // the spans and the ii_search.* counters the search already emits.
     if (args.pipelined) {
         std::cout << "\nadaptive II search:\n";
         BlockSchedulingContext context(job.kernel, job.block, machine);

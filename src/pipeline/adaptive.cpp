@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/fnv.hpp"
-#include "support/logging.hpp"
 
 namespace cs {
 
@@ -94,12 +93,10 @@ PortfolioStats::lookup(std::uint64_t shapeKey) const
 }
 
 void
-PortfolioStats::record(std::uint64_t shapeKey, int winnerK,
-                       int numVariants,
-                       const std::array<std::uint64_t,
-                                        kNumRejectReasons> &rejects,
-                       std::uint64_t dfsNodes)
+PortfolioStats::record(std::uint64_t shapeKey, int winnerK)
 {
+    if (winnerK < 0)
+        return;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = shapes_.find(shapeKey);
     if (it == shapes_.end()) {
@@ -108,19 +105,9 @@ PortfolioStats::record(std::uint64_t shapeKey, int winnerK,
         it = shapes_.emplace(shapeKey, PortfolioProfile{}).first;
     }
     PortfolioProfile &p = it->second;
-    if (winnerK >= 0) {
-        ++p.jobs;
-        p.maxWinnerK =
-            std::max(p.maxWinnerK, static_cast<std::uint32_t>(winnerK));
-        p.winnerKSum += static_cast<std::uint64_t>(winnerK);
-        int variant = numVariants > 0 ? winnerK % numVariants : 0;
-        if (variant >= 0 &&
-            variant < static_cast<int>(p.variantWins.size()))
-            ++p.variantWins[static_cast<std::size_t>(variant)];
-    }
-    for (std::size_t i = 0; i < kNumRejectReasons; ++i)
-        p.rejects[i] += rejects[i];
-    p.dfsNodes += dfsNodes;
+    ++p.jobs;
+    p.maxWinnerK =
+        std::max(p.maxWinnerK, static_cast<std::uint32_t>(winnerK));
 }
 
 void
@@ -137,32 +124,16 @@ PortfolioStats::size() const
     return shapes_.size();
 }
 
-AttemptPlanner::AttemptPlanner(int totalAttempts, int numVariants,
-                               const PortfolioProfile &profile)
-    : total_(totalAttempts),
-      numVariants_(numVariants),
-      profile_(profile),
-      launched_(static_cast<std::size_t>(totalAttempts), false)
+AttemptPlan
+planAttempts(const PortfolioProfile &profile, int requestedWindow)
 {
-    CS_ASSERT(numVariants >= 1 && numVariants <= 3,
-              "unexpected retry-variant count ", numVariants);
-    // Prior: the shape's historical variant win rates seed the scores
-    // so a warm portfolio orders variants sensibly from launch one.
-    for (std::size_t v = 0; v < variantScore_.size(); ++v)
-        variantScore_[v] =
-            static_cast<double>(profile.variantWins[v]);
-}
-
-AttemptPlanner::Plan
-AttemptPlanner::plan(int requestedWindow) const
-{
-    Plan plan;
+    AttemptPlan plan;
     plan.window = std::max(requestedWindow, 1);
-    if (profile_.jobs >= 2) {
+    if (profile.jobs >= 2) {
         // The shape's observed worst-case winner bounds how deep
         // speculation can ever pay; one attempt of headroom covers a
         // block that needs one more slack step than history saw.
-        int needed = static_cast<int>(profile_.maxWinnerK) + 1;
+        int needed = static_cast<int>(profile.maxWinnerK) + 1;
         if (needed <= 1) {
             plan.serialInline = true;
             plan.window = 1;
@@ -171,89 +142,6 @@ AttemptPlanner::plan(int requestedWindow) const
         plan.window = std::clamp(needed + 1, 2, plan.window);
     }
     return plan;
-}
-
-void
-AttemptPlanner::rankVariants(std::array<int, 3> &order) const
-{
-    for (int v = 0; v < 3; ++v)
-        order[static_cast<std::size_t>(v)] = v;
-    if (numVariants_ < 2)
-        return;
-    // Stable selection by descending score: ties keep the serial
-    // sweep's 0,1,2 order, so a signal-free search launches exactly
-    // the fixed order.
-    std::stable_sort(order.begin(),
-                     order.begin() + numVariants_,
-                     [&](int a, int b) {
-                         return variantScore_[static_cast<std::size_t>(
-                                    a)] >
-                                variantScore_[static_cast<std::size_t>(
-                                    b)];
-                     });
-}
-
-int
-AttemptPlanner::nextLaunch(int bound)
-{
-    std::array<int, 3> order{};
-    rankVariants(order);
-    const int slacks = total_ / numVariants_;
-    for (int s = 0; s < slacks; ++s) {
-        for (int i = 0; i < numVariants_; ++i) {
-            int k = s * numVariants_ + order[static_cast<std::size_t>(i)];
-            if (k >= bound)
-                continue;
-            if (!launched_[static_cast<std::size_t>(k)]) {
-                launched_[static_cast<std::size_t>(k)] = true;
-                return k;
-            }
-        }
-    }
-    return -1;
-}
-
-bool
-AttemptPlanner::hasLaunchable(int bound) const
-{
-    const int limit = std::min(bound, total_);
-    for (int k = 0; k < limit; ++k)
-        if (!launched_[static_cast<std::size_t>(k)])
-            return true;
-    return false;
-}
-
-void
-AttemptPlanner::onAttemptDone(
-    int k, bool success,
-    const std::array<std::uint64_t, kNumRejectReasons> &rejects,
-    std::uint64_t dfsNodes)
-{
-    for (std::size_t i = 0; i < kNumRejectReasons; ++i)
-        rejectTotals_[i] += rejects[i];
-    dfsNodeTotal_ += dfsNodes;
-    if (numVariants_ < 2)
-        return;
-    if (success) {
-        variantScore_[static_cast<std::size_t>(k % numVariants_)] +=
-            1.0;
-        return;
-    }
-    // Reject-reason steering: placement-room starvation (routes,
-    // serviceable stubs, buses, budgets) is what the wide-window
-    // variant exists for; port-permutation conflicts are what the
-    // flipped scheduling order sidesteps. The magnitudes only order
-    // variants relative to each other, so raw counts suffice.
-    auto count = [&](RejectReason r) {
-        return static_cast<double>(
-            rejects[static_cast<std::size_t>(r)]);
-    };
-    variantScore_[1] += count(RejectReason::RouteInfeasible) +
-                        count(RejectReason::NoServiceableWriteStub) +
-                        count(RejectReason::BusConflict) +
-                        count(RejectReason::BudgetExhausted);
-    variantScore_[2] += count(RejectReason::ReadPortConflict) +
-                        count(RejectReason::WritePortConflict);
 }
 
 } // namespace cs

@@ -1,25 +1,23 @@
 /**
  * @file
  * Adaptive layer over the speculative II search: a cheap block
- * classifier, a cross-job portfolio memory, and a per-search attempt
- * planner that together choose *how* the (ii, variant) wavefront is
- * explored — serial or speculative, how wide, and in what launch
- * order — without ever changing *what* it returns.
+ * classifier, a cross-job portfolio memory, and a per-search plan
+ * that together choose *how* the (ii, variant) wavefront is explored
+ * — serial or speculative, and how wide — without ever changing
+ * *what* it returns. Attempts always launch in ascending index order.
  *
  * Exactness argument (DESIGN.md section 5g): the search's commit rule
  * is "smallest successful attempt index k", and an attempt's outcome
  * is a pure function of (ii, variant) over the shared immutable
- * context. The planner merely permutes the order attempts are
- * handed to the pool and bounds how far past the (unknown) winner the
+ * context. The plan only bounds how far past the (unknown) winner the
  * search speculates; every attempt below the winner still runs, so
  * the winner — and its byte-identical listing — cannot change.
  * Adaptivity buys wall clock and wasted-attempt reduction, never a
  * different schedule.
  *
- * The planner's inputs are exactly the signals PR 4-5 built: the
- * closed RejectReason mix and dfs_nodes of earlier attempts (within
- * the current search), and a PortfolioStats memory of previous
- * searches keyed by block shape (cross-job, cross-thread).
+ * The plan's only input is a PortfolioStats memory of previous
+ * searches' winning attempt indices, keyed by block shape (cross-job,
+ * cross-thread).
  */
 
 #ifndef CS_PIPELINE_ADAPTIVE_HPP
@@ -29,9 +27,7 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
-#include "core/reject.hpp"
 #include "core/sched_context.hpp"
 
 namespace cs {
@@ -78,22 +74,14 @@ struct PortfolioProfile
     std::uint64_t jobs = 0;
     /** Largest winning attempt index ever observed. */
     std::uint32_t maxWinnerK = 0;
-    /** Sum of winning attempt indices (mean = sum / jobs). */
-    std::uint64_t winnerKSum = 0;
-    /** Wins per retry-variant index (iiRetryVariants order). */
-    std::array<std::uint64_t, 3> variantWins{};
-    /** Accumulated reject-reason mix across all recorded attempts. */
-    std::array<std::uint64_t, kNumRejectReasons> rejects{};
-    /** Accumulated DFS expansion steps (search effort). */
-    std::uint64_t dfsNodes = 0;
 };
 
 /**
  * Cross-job attempt-portfolio memory: one PortfolioProfile per block
  * shape, shared by every search in the process (batch jobs, serving
  * requests, speculative workers). Purely advisory — readers use it to
- * order and bound attempt launches, so a stale, empty, or cleared
- * profile can cost wall clock but never changes a schedule.
+ * bound attempt launches, so a stale, empty, or cleared profile can
+ * cost wall clock but never changes a schedule.
  *
  * Thread-safe (one mutex; a lookup and a record per *search*, nothing
  * per attempt). Bounded: once kMaxShapes distinct shapes exist, new
@@ -111,14 +99,11 @@ class PortfolioStats
     PortfolioProfile lookup(std::uint64_t shapeKey) const;
 
     /**
-     * Record one completed search: the winning attempt index (or -1
-     * when the search failed), and the reject/effort totals summed
-     * over every attempt that ran.
+     * Record one completed search by its winning attempt index, or -1
+     * when it failed. A failed search records nothing: it says nothing
+     * about how deep a winner lies.
      */
-    void record(std::uint64_t shapeKey, int winnerK, int numVariants,
-                const std::array<std::uint64_t, kNumRejectReasons>
-                    &rejects,
-                std::uint64_t dfsNodes);
+    void record(std::uint64_t shapeKey, int winnerK);
 
     /** Forget everything (test isolation). */
     void clear();
@@ -130,85 +115,26 @@ class PortfolioStats
     std::unordered_map<std::uint64_t, PortfolioProfile> shapes_;
 };
 
-/**
- * Per-search attempt planner. Owned by one schedulePipelinedParallel
- * call and driven under its controller mutex (so it needs no locking
- * of its own): nextLaunch() hands out attempt indices in adaptive
- * order, onAttemptDone() feeds observed outcomes back, and plan()
- * makes the up-front serial/speculative and window decision.
- *
- * Ordering policy: ii slack strictly ascending (attempts at lower II
- * dominate the critical path — all of them must complete for any
- * higher winner to commit), variants *within* a slack ordered by a
- * score that starts from the portfolio's per-variant win history and
- * shifts as this search's own reject mix accumulates: route/bus/stub
- * starvation favors the wide-window variant, port-permutation
- * conflicts favor the flipped scheduling order. See DESIGN.md 5g.
- */
-class AttemptPlanner
+/** The up-front launch decision for one search. */
+struct AttemptPlan
 {
-  public:
-    AttemptPlanner(int totalAttempts, int numVariants,
-                   const PortfolioProfile &profile);
-
-    /** The up-front decision for this search. */
-    struct Plan
-    {
-        /** Run attempts inline on the calling thread (window 1). */
-        bool serialInline = false;
-        /** Speculation window actually used (<= requested). */
-        int window = 1;
-    };
-
-    /**
-     * Choose serial vs speculative and the window, given the window
-     * the caller requested (pool-derived). A shape whose history says
-     * "the first attempt always wins" runs serial — speculation could
-     * only waste attempts; an unknown or multi-attempt shape keeps a
-     * window sized to its observed worst case plus slack.
-     */
-    Plan plan(int requestedWindow) const;
-
-    /**
-     * Next attempt index to launch: the best-ranked unlaunched k with
-     * k < bound (the current best-so-far winner caps speculation).
-     * Returns -1 when nothing below the bound remains. Marks the
-     * returned index launched.
-     */
-    int nextLaunch(int bound);
-
-    /** Whether any unlaunched attempt with k < bound remains (the
-     *  controller's completion test; does not mark anything). */
-    bool hasLaunchable(int bound) const;
-
-    /** Feed one completed attempt's outcome back into the ordering. */
-    void onAttemptDone(int k, bool success,
-                       const std::array<std::uint64_t,
-                                        kNumRejectReasons> &rejects,
-                       std::uint64_t dfsNodes);
-
-    /** Totals for the portfolio record at search end. */
-    const std::array<std::uint64_t, kNumRejectReasons> &
-    rejectTotals() const
-    {
-        return rejectTotals_;
-    }
-    std::uint64_t dfsNodeTotal() const { return dfsNodeTotal_; }
-
-  private:
-    /** Variant indices of one slack, best first, under the current
-     *  scores (stable: ties keep ascending variant order). */
-    void rankVariants(std::array<int, 3> &order) const;
-
-    int total_;
-    int numVariants_;
-    PortfolioProfile profile_;
-    std::vector<bool> launched_;
-    /** Live variant scores (portfolio prior + observed reject mix). */
-    std::array<double, 3> variantScore_{};
-    std::array<std::uint64_t, kNumRejectReasons> rejectTotals_{};
-    std::uint64_t dfsNodeTotal_ = 0;
+    /** Run attempts inline on the calling thread (window 1). */
+    bool serialInline = false;
+    /** Speculation window actually used (<= requested). */
+    int window = 1;
 };
+
+/**
+ * Choose serial vs speculative and the window, given the shape's
+ * profile and the window the caller requested (the pool's size). A
+ * shape whose history says "the first attempt always wins" runs
+ * serial — speculation could only waste attempts; a multi-attempt
+ * shape keeps a window sized to its observed worst case plus one
+ * attempt of headroom. Under two recorded searches (an unknown shape
+ * included), the requested window stands.
+ */
+AttemptPlan planAttempts(const PortfolioProfile &profile,
+                         int requestedWindow);
 
 } // namespace cs
 

@@ -23,47 +23,44 @@ std::shared_ptr<const SharedBlockContext>
 ContextCache::acquire(const Kernel &kernel, BlockId block,
                       const Machine &machine)
 {
-    std::uint64_t k = key(kernel, block, machine);
+    auto build = [&] {
+        return std::make_shared<const SharedBlockContext>(kernel, block,
+                                                          machine);
+    };
+    if (capacity_ == 0) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            ++misses_;
+        }
+        return build();
+    }
 
-    if (capacity_ != 0) {
+    std::uint64_t k = key(kernel, block, machine);
+    std::shared_ptr<Slot> slot;
+    {
         std::lock_guard<std::mutex> lock(mutex_);
         auto it = index_.find(k);
         if (it != index_.end()) {
             ++hits_;
             lru_.splice(lru_.begin(), lru_, it->second);
-            return it->second->second;
+            slot = it->second->second;
+        } else {
+            ++misses_;
+            if (lru_.size() >= capacity_) {
+                index_.erase(lru_.back().first);
+                lru_.pop_back();
+                ++evictions_;
+            }
+            slot = std::make_shared<Slot>();
+            lru_.emplace_front(k, slot);
+            index_[k] = lru_.begin();
         }
-        ++misses_;
-    } else {
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++misses_;
     }
-
-    // Build outside the lock: analysis is the expensive part, and two
-    // threads racing on a fresh key would otherwise serialize on it.
-    auto built =
-        std::make_shared<const SharedBlockContext>(kernel, block, machine);
-
-    if (capacity_ == 0)
-        return built;
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(k);
-    if (it != index_.end()) {
-        // Another thread built and published first; adopt its entry so
-        // every holder of this key shares one analysis. The race is not
-        // a counted hit — both threads paid the build.
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->second;
-    }
-    if (lru_.size() >= capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-    }
-    lru_.emplace_front(k, built);
-    index_[k] = lru_.begin();
-    return built;
+    // Build outside the lock: analysis is the expensive part, and
+    // acquires of other keys must not wait for it. Acquires of this
+    // key wait here for the one build.
+    std::call_once(slot->built, [&] { slot->context = build(); });
+    return slot->context;
 }
 
 ContextCache::Stats
@@ -77,14 +74,6 @@ ContextCache::stats() const
     s.entries = lru_.size();
     s.capacity = capacity_;
     return s;
-}
-
-void
-ContextCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
 }
 
 void

@@ -21,6 +21,10 @@
  * byte-equivalent input to a freshly built one — listings stay
  * byte-identical (tests pin all 80 goldens with the cache ON).
  *
+ * One build per key: the first acquire of a key inserts its entry and
+ * builds the analysis outside the cache lock; concurrent acquires of
+ * the same key wait for that build instead of repeating it.
+ *
  * Lifetime: entries own private copies of the kernel and machine (the
  * context holds references), handed out behind shared_ptr — an entry
  * evicted while a job still schedules against it stays alive until
@@ -87,12 +91,11 @@ class ContextCache
                              const Machine &machine);
 
     /**
-     * Return the shared analysis for (kernel, block, machine),
-     * building it on a miss. Concurrent misses on one key may both
-     * build; the first insert wins and the loser adopts it, so every
-     * caller holding a given key shares one analysis.
-     * With capacity 0, builds a private entry every call (counted as
-     * a miss).
+     * Return the shared analysis for (kernel, block, machine). The
+     * first acquire of a key counts a miss and builds it; an acquire
+     * that finds the key counts a hit and, if that build is still
+     * running, waits for it. With capacity 0, builds a private entry
+     * every call (counted as a miss).
      */
     std::shared_ptr<const SharedBlockContext>
     acquire(const Kernel &kernel, BlockId block, const Machine &machine);
@@ -123,12 +126,14 @@ class ContextCache
 
     Stats stats() const;
 
-    /** Drop all entries (counters are kept). */
-    void clear();
-
   private:
-    using Entry =
-        std::pair<std::uint64_t, std::shared_ptr<const SharedBlockContext>>;
+    /** One key's analysis, built once by its first acquire. */
+    struct Slot
+    {
+        std::once_flag built;
+        std::shared_ptr<const SharedBlockContext> context;
+    };
+    using Entry = std::pair<std::uint64_t, std::shared_ptr<Slot>>;
 
     mutable std::mutex mutex_;
     std::size_t capacity_;

@@ -1,6 +1,5 @@
 #include "pipeline/ii_search.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -12,21 +11,6 @@
 #include "support/trace.hpp"
 
 namespace cs {
-
-namespace {
-
-/** Pull the closed reject-reason counters out of one attempt's stats
- *  (the planner's per-attempt feedback signal). */
-std::array<std::uint64_t, kNumRejectReasons>
-rejectMixOf(const CounterSet &stats)
-{
-    std::array<std::uint64_t, kNumRejectReasons> mix{};
-    for (std::size_t i = 0; i < kNumRejectReasons; ++i)
-        mix[i] = stats.get(kRejectCounters[i]);
-    return mix;
-}
-
-} // namespace
 
 PipelineResult
 schedulePipelinedParallel(const Kernel &kernel, BlockId block,
@@ -53,6 +37,33 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
                                  config.abort);
     }
 
+    // The adaptive layer (pipeline/adaptive.hpp): classify the block
+    // and let the shape's history choose serial vs speculative and
+    // bound the window. The commit rule below ("smallest successful
+    // k") still returns the serial winner byte-for-byte.
+    const std::uint64_t shapeKey = classifyBlock(context).shapeKey();
+    const AttemptPlan plan =
+        planAttempts(PortfolioStats::global().lookup(shapeKey),
+                     static_cast<int>(config.pool->size()));
+
+    if (plan.serialInline) {
+        // History says the first attempt wins this shape: run the
+        // serial sweep on the calling thread and pay zero pool
+        // traffic. If history misleads, this is still the full serial
+        // sweep — correct, just not parallel.
+        PipelineResult result = schedulePipelined(
+            context, options, maxIiSlack, config.abort);
+        if (!result.inner.cancelled) {
+            PortfolioStats::global().record(
+                shapeKey, result.success ? result.attempts - 1 : -1);
+        }
+        CounterSet &stats = result.inner.stats;
+        stats.bump(counter("ii_search.attempts_launched"),
+                   static_cast<std::uint64_t>(result.attempts));
+        stats.bump(counter("ii_search.serial_inline"));
+        return result;
+    }
+
     using Clock = std::chrono::steady_clock;
 
     PipelineResult result;
@@ -65,83 +76,15 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
     const int num_variants = static_cast<int>(variants.size());
     const int total = (maxIiSlack + 1) * num_variants;
 
-    int window = config.maxInFlight > 0
-                     ? config.maxInFlight
-                     : static_cast<int>(config.pool->size());
-    window = std::max(window, 1);
-
-    // The adaptive layer (pipeline/adaptive.hpp): classify the block,
-    // consult the cross-job portfolio, and let the planner choose the
-    // launch order and speculation depth. The commit rule below
-    // ("smallest successful k") still returns the serial winner
-    // byte-for-byte.
-    const std::uint64_t shapeKey = classifyBlock(context).shapeKey();
-    AttemptPlanner planner(total, num_variants,
-                           PortfolioStats::global().lookup(shapeKey));
-    const AttemptPlanner::Plan plan = planner.plan(window);
-
     auto externally_aborted = [&config] {
         return config.abort != nullptr &&
                config.abort->load(std::memory_order_relaxed);
     };
 
-    if (plan.serialInline) {
-        // The classifier says speculation cannot pay (history: the
-        // first attempt always wins): run the sweep inline over the
-        // already-built context and pay zero pool traffic. If history
-        // misleads, this is still the full serial sweep — correct,
-        // just not parallel.
-        int k = 0;
-        for (; k < total && !externally_aborted(); ++k) {
-            const int ii = mii + k / num_variants;
-            CS_TRACE_SPAN2("ii_attempt", "ii", ii, "variant",
-                           k % num_variants);
-            BlockScheduler scheduler(context, variants[k % num_variants],
-                                     ii);
-            scheduler.setExternalAbortFlag(config.abort);
-            ScheduleResult attempt = scheduler.run();
-            ++result.attempts;
-            bool cancelled = attempt.cancelled;
-            planner.onAttemptDone(k, attempt.success,
-                                  rejectMixOf(attempt.stats),
-                                  attempt.stats.get(counter("dfs_nodes")));
-            if (attempt.success) {
-                result.success = true;
-                result.ii = ii;
-                result.inner = std::move(attempt);
-                break;
-            }
-            if (cancelled) {
-                result.inner = std::move(attempt);
-                break;
-            }
-        }
-        if (!result.success && !result.inner.cancelled) {
-            if (externally_aborted()) {
-                result.inner.failure = "cancelled";
-                result.inner.cancelled = true;
-            } else {
-                result.inner.failure = "no feasible II within MII + " +
-                                       std::to_string(maxIiSlack);
-            }
-        }
-        if (!result.inner.cancelled) {
-            PortfolioStats::global().record(
-                shapeKey, result.success ? k : -1, num_variants,
-                planner.rejectTotals(), planner.dfsNodeTotal());
-        }
-        CounterSet &stats = result.inner.stats;
-        stats.bump(counter("ii_search.attempts_launched"),
-                   static_cast<std::uint64_t>(result.attempts));
-        stats.bump(counter("ii_search.serial_inline"));
-        return result;
-    }
-
     struct Attempt
     {
         std::atomic<bool> abort{false};
         ScheduleResult result;
-        bool launched = false;
         bool done = false;
         /** Flag raised (under the controller mutex); timestamp of it. */
         bool abortRaised = false;
@@ -153,7 +96,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
     std::mutex mutex;
     std::condition_variable done_cv;
     int best = total; ///< smallest successful attempt index so far
-    int launched_count = 0;
+    int launched = 0; ///< attempts [0, launched) went to the pool
     int in_flight = 0;
     std::uint64_t num_cancelled = 0;
     std::uint64_t cancel_latency_us = 0;
@@ -186,25 +129,15 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
             CS_TRACE_INSTANT2("ii_cancel", "attempt", k, "latency_us",
                               latency_us);
         }
-        if (!a.result.cancelled) {
-            // Reject-driven reordering: the attempt's observed reject
-            // mix shifts which retry variant launches first at the
-            // IIs still ahead. Launch order only — commitment stays
-            // with the smallest successful index.
-            planner.onAttemptDone(k, a.result.success,
-                                  rejectMixOf(a.result.stats),
-                                  a.result.stats.get(counter("dfs_nodes")));
-        }
         if (a.result.success && k < best) {
             best = k;
             // Abort the speculation past the new best. best only
             // decreases and flags are only raised for indices above
             // it, so the eventual winner is never aborted.
             Clock::time_point now = Clock::now();
-            for (int j = best + 1; j < total; ++j) {
+            for (int j = best + 1; j < launched; ++j) {
                 Attempt &loser = attempts[static_cast<std::size_t>(j)];
-                if (loser.launched && !loser.done &&
-                    !loser.abortRaised) {
+                if (!loser.done && !loser.abortRaised) {
                     loser.abortRaised = true;
                     loser.abortedAt = now;
                     loser.abort.store(true, std::memory_order_relaxed);
@@ -215,14 +148,14 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
     };
 
     {
+        // Attempts launch in ascending index order, at most
+        // plan.window at a time, and never past the best-so-far
+        // winner.
         std::unique_lock<std::mutex> lock(mutex);
         while (true) {
-            while (in_flight < plan.window && !externally_aborted()) {
-                int k = planner.nextLaunch(std::min(total, best));
-                if (k < 0)
-                    break;
-                attempts[static_cast<std::size_t>(k)].launched = true;
-                ++launched_count;
+            while (in_flight < plan.window && launched < best &&
+                   !externally_aborted()) {
+                const int k = launched++;
                 ++in_flight;
                 bool accepted =
                     config.pool->submit([&run_attempt, k] {
@@ -232,8 +165,7 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
                           "II-search pool rejected an attempt");
             }
             if (in_flight == 0 &&
-                (!planner.hasLaunchable(std::min(total, best)) ||
-                 externally_aborted())) {
+                (launched >= best || externally_aborted())) {
                 break;
             }
             done_cv.wait(lock);
@@ -242,12 +174,12 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
     // All attempts are done: the pool holds no reference to local
     // state any more, and no further synchronization is needed.
 
-    result.attempts = launched_count;
+    result.attempts = launched;
     if (best < total) {
         Attempt &winner = attempts[static_cast<std::size_t>(best)];
         result.success = true;
         result.ii = mii + best / num_variants;
-        result.attemptsWasted = launched_count - (best + 1);
+        result.attemptsWasted = launched - (best + 1);
         result.inner = std::move(winner.result);
     } else if (externally_aborted()) {
         result.inner.failure = "cancelled";
@@ -258,14 +190,13 @@ schedulePipelinedParallel(const BlockSchedulingContext &context,
     }
 
     if (!result.inner.cancelled) {
-        PortfolioStats::global().record(
-            shapeKey, best < total ? best : -1, num_variants,
-            planner.rejectTotals(), planner.dfsNodeTotal());
+        PortfolioStats::global().record(shapeKey,
+                                        best < total ? best : -1);
     }
 
     CounterSet &stats = result.inner.stats;
     stats.bump(counter("ii_search.attempts_launched"),
-               static_cast<std::uint64_t>(launched_count));
+               static_cast<std::uint64_t>(launched));
     if (result.attemptsWasted > 0) {
         stats.bump(counter("ii_search.attempts_wasted"),
                    static_cast<std::uint64_t>(result.attemptsWasted));

@@ -14,6 +14,12 @@
  * BlockSchedulingContext, so the winner's BlockScheduler sees inputs
  * identical to its serial twin and produces a byte-identical listing.
  *
+ * Launch order: attempts go to the pool in ascending k, at most one
+ * per pool worker at a time (the adaptive plan may narrow that window
+ * or run the serial sweep inline), and never past the best-so-far
+ * winner; the launched attempts are therefore always a prefix
+ * [0, launched) of the sequence.
+ *
  * Cancellation protocol: when attempt k succeeds, every in-flight
  * attempt with index greater than the best-so-far winner gets its
  * cooperative abort flag raised (BlockScheduler::setAbortFlag). The
@@ -42,13 +48,6 @@ struct IiSearchConfig
      */
     ThreadPool *pool = nullptr;
     /**
-     * Speculation window: attempts in flight or queued at once.
-     * Clamped to at least 1; 0 means the pool's worker count. Larger
-     * windows speculate deeper past the (unknown) winning II, trading
-     * wasted work for latency on machines with many idle cores.
-     */
-    int maxInFlight = 0;
-    /**
      * External cancellation (a serving deadline, a dropped client):
      * when raised, in-flight attempts unwind at their checkpoints, no
      * further attempts launch, and — unless a winner already emerged —
@@ -61,8 +60,8 @@ struct IiSearchConfig
 
 /**
  * Find the smallest feasible initiation interval, like
- * schedulePipelined, but running up to maxInFlight (II, variant)
- * attempts concurrently on config.pool. Returns the identical
+ * schedulePipelined, but running (II, variant) attempts concurrently
+ * on config.pool in the launch order above. Returns the identical
  * (success, ii, inner listing) the serial sweep returns for the same
  * inputs; only attempts/attemptsWasted and the counters differ (see
  * PipelineResult). With a null pool this *is* the serial sweep.

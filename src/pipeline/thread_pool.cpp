@@ -15,7 +15,7 @@ ThreadPool::ThreadPool(unsigned numThreads)
 
 ThreadPool::~ThreadPool()
 {
-    shutdown(Drain::Finish);
+    shutdown();
 }
 
 bool
@@ -39,17 +39,12 @@ ThreadPool::waitIdle()
                [this] { return queue_.empty() && activeWorkers_ == 0; });
 }
 
-std::size_t
-ThreadPool::shutdown(Drain mode)
+void
+ThreadPool::shutdown()
 {
-    std::size_t discarded = 0;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
-        if (mode == Drain::Discard) {
-            discarded = queue_.size();
-            queue_.clear();
-        }
     }
     workAvailable_.notify_all();
     for (std::thread &worker : workers_) {
@@ -57,7 +52,6 @@ ThreadPool::shutdown(Drain mode)
             worker.join();
     }
     idle_.notify_all();
-    return discarded;
 }
 
 std::size_t
@@ -77,8 +71,7 @@ ThreadPool::workerLoop()
             workAvailable_.wait(
                 lock, [this] { return stopping_ || !queue_.empty(); });
             if (queue_.empty()) {
-                // stopping_ with an empty queue: either a drain that
-                // ran dry or a discard that cleared it. Done.
+                // stopping_ with an empty queue: the drain ran dry.
                 return;
             }
             task = std::move(queue_.front());

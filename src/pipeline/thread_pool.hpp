@@ -5,8 +5,8 @@
  * scheduling pipeline: each queued task is one self-contained
  * (kernel, machine, options) compile job, so the pool needs no task
  * priorities, stealing, or resizing — just bounded concurrency,
- * deterministic draining, and a clean way to stop with work still
- * queued.
+ * deterministic draining, and a clean stop that finishes the work
+ * still queued.
  */
 
 #ifndef CS_PIPELINE_THREAD_POOL_HPP
@@ -36,7 +36,7 @@ class ThreadPool
      */
     explicit ThreadPool(unsigned numThreads);
 
-    /** Equivalent to shutdown(Drain::Finish). */
+    /** Equivalent to shutdown(). */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
@@ -56,18 +56,12 @@ class ThreadPool
      */
     void waitIdle();
 
-    /** What to do with tasks still queued when shutdown is requested. */
-    enum class Drain {
-        Finish, ///< run every queued task before joining the workers
-        Discard ///< drop queued tasks; only running tasks complete
-    };
-
     /**
-     * Stop the pool and join all workers. Idempotent; concurrent
-     * submit() calls that lose the race are rejected. Returns the
-     * number of queued tasks discarded (always 0 for Drain::Finish).
+     * Stop the pool: run every queued task, then join the workers.
+     * Idempotent; concurrent submit() calls that lose the race are
+     * rejected.
      */
-    std::size_t shutdown(Drain mode = Drain::Finish);
+    void shutdown();
 
     /** Number of worker threads. */
     unsigned size() const { return static_cast<unsigned>(workers_.size()); }

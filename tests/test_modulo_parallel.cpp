@@ -104,7 +104,6 @@ TEST_P(ModuloParallelGolden, MatchesSerialGoldens)
     ThreadPool pool(2);
     IiSearchConfig config;
     config.pool = &pool;
-    config.maxInFlight = 3;
 
     for (const KernelSpec &spec : allKernels()) {
         Kernel kernel = spec.build();
@@ -171,7 +170,6 @@ TEST(ModuloParallel, AttemptAccountingReconcilesWithSerial)
     ThreadPool pool(2);
     IiSearchConfig config;
     config.pool = &pool;
-    config.maxInFlight = 4;
 
     for (const char *machineName : {"central", "clustered2"}) {
         Machine machine = makeStdMachine(machineName).value();
