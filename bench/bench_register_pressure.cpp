@@ -10,8 +10,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include <exception>
-
 #include "core/register_pressure.hpp"
 #include "support/logging.hpp"
 
@@ -35,6 +33,7 @@ main()
         std::vector<std::string> row{spec.name};
         int overflow_total = 0;
         int spill_total = 0;
+        bool unspillable = false;
         for (std::size_t m : {std::size_t{0}, std::size_t{2},
                               std::size_t{3}}) {
             KernelRunResult run =
@@ -49,22 +48,20 @@ main()
             overflow_total +=
                 static_cast<int>(report.overflows.size());
             if (!report.fits()) {
-                try {
-                    spill_total += static_cast<int>(
-                        planSpills(machines[m].second, report)
-                            .size());
-                } catch (const std::exception &) {
-                    // No file has both headroom and a copy path:
-                    // register-unallocatable at this capacity. Report
-                    // the overflow; a real compiler would retry at a
-                    // larger II or spill through memory.
-                    spill_total = -999;
-                }
+                // nullopt: no file has both headroom and a copy path,
+                // so the schedule is register-unallocatable at this
+                // capacity. Report the overflow; a real compiler would
+                // retry at a larger II or spill through memory.
+                auto plan = planSpills(machines[m].second, report);
+                if (plan)
+                    spill_total += static_cast<int>(plan->size());
+                else
+                    unspillable = true;
             }
         }
         row.push_back(std::to_string(overflow_total));
-        row.push_back(spill_total < 0 ? "unspillable"
-                                      : std::to_string(spill_total));
+        row.push_back(unspillable ? "unspillable"
+                                  : std::to_string(spill_total));
         table.addRow(row);
     }
     table.print(std::cout);

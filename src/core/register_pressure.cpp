@@ -114,7 +114,7 @@ analyzeRegisterPressure(const Kernel &kernel, const Machine &machine,
     return report;
 }
 
-std::vector<SpillPlan>
+std::optional<std::vector<SpillPlan>>
 planSpills(const Machine &machine, const PressureReport &report)
 {
     std::vector<SpillPlan> plan;
@@ -168,19 +168,15 @@ planSpills(const Machine &machine, const PressureReport &report)
                     best = rf;
                 }
             }
-            if (!best.valid()) {
-                CS_FATAL("no spill target reachable from ",
-                         machine.regFile(overflowing).name);
-            }
+            if (!best.valid())
+                return std::nullopt; // no spill target reachable
             plan.push_back(SpillPlan{interval->value, overflowing,
                                      best, 2});
             headroom[best.index()] -= freed;
             excess -= freed;
         }
-        if (excess > 0) {
-            CS_FATAL("not enough spillable intervals in ",
-                     machine.regFile(overflowing).name);
-        }
+        if (excess > 0)
+            return std::nullopt; // not enough spillable intervals
         headroom[overflowing.index()] = 0;
     }
     return plan;

@@ -20,6 +20,7 @@
 #ifndef CS_CORE_REGISTER_PRESSURE_HPP
 #define CS_CORE_REGISTER_PRESSURE_HPP
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,11 +112,13 @@ struct SpillPlan
 
 /**
  * Plan spills until every file fits (longest intervals evicted
- * first). Returns the plan; empty when the schedule already fits.
- * Fatal when no park file is copy-reachable for a needed eviction.
+ * first). Returns the plan, empty when the schedule already fits, or
+ * nullopt when the schedule is unspillable: an overflowing file has
+ * no copy-reachable park file with headroom, or too few intervals to
+ * evict.
  */
-std::vector<SpillPlan> planSpills(const Machine &machine,
-                                  const PressureReport &report);
+std::optional<std::vector<SpillPlan>> planSpills(
+    const Machine &machine, const PressureReport &report);
 
 } // namespace cs
 

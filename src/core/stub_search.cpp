@@ -902,7 +902,6 @@ BlockScheduler::solveWriteStubs(PermScratch &sc, int cycle,
             }
         }
         if (distinct.size() > usable_count) {
-            stats_.bump(counter("write_perm_bus_prechecks"));
             noteReject(RejectReason::BusConflict);
             restore();
             return false;

@@ -60,45 +60,6 @@ buildKernel(const KernelDesc &desc, std::optional<Kernel> *out,
     const std::int64_t numBlocks =
         static_cast<std::int64_t>(desc.blocks.size());
 
-    // Map every value id to its producing op up front: copy insertion
-    // retargets consumers to copies appended *later*, so a serialized
-    // scheduled kernel may forward-reference a value — legal exactly
-    // when chasing the copy chain lands on an already-defined value.
-    std::vector<std::size_t> producer; // value id -> op index
-    for (std::size_t i = 0; i < desc.ops.size(); ++i) {
-        const KernelDesc::Op &op = desc.ops[i];
-        if (op.opcode >= 0 &&
-            op.opcode < static_cast<std::int64_t>(kNumOpcodes) &&
-            opcodeHasResult(static_cast<Opcode>(op.opcode))) {
-            producer.push_back(i);
-        }
-    }
-    const std::int64_t totalValues =
-        static_cast<std::int64_t>(producer.size());
-
-    // Resolve a forward-referenced value down the copy chain to the
-    // value it duplicates that is defined before @p definedValues.
-    // Returns a negative value when the chain is broken (not a copy,
-    // or cyclic) — malformed input, never a crash.
-    auto resolveForward = [&](std::int64_t value,
-                              std::int64_t definedValues) {
-        std::size_t steps = 0;
-        while (value >= definedValues) {
-            const KernelDesc::Op &copy = desc.ops[producer[value]];
-            if (static_cast<Opcode>(copy.opcode) != Opcode::Copy ||
-                copy.operands.size() != 1 ||
-                copy.operands[0].kind != Operand::Kind::Value ||
-                !copy.operands[0].value.valid() ||
-                static_cast<std::int64_t>(
-                    copy.operands[0].value.index()) >= totalValues ||
-                ++steps > desc.ops.size()) {
-                return static_cast<std::int64_t>(-1);
-            }
-            value = copy.operands[0].value.index();
-        }
-        return value;
-    };
-
     std::int64_t numValues = 0;
     for (std::size_t i = 0; i < desc.ops.size(); ++i) {
         const KernelDesc::Op &op = desc.ops[i];
@@ -123,18 +84,10 @@ buildKernel(const KernelDesc &desc, std::optional<Kernel> *out,
                                          ? static_cast<std::int64_t>(
                                                operand.value.index())
                                          : -1;
-                if (index < 0 || index >= totalValues) {
+                if (index < 0 || index >= numValues) {
                     return fail(where + ": operand references value v" +
                                 std::to_string(operand.value.index()) +
-                                " that is never defined");
-                }
-                if (index >= numValues &&
-                    resolveForward(index, numValues) < 0) {
-                    return fail(where +
-                                ": operand forward-references v" +
-                                std::to_string(index) +
-                                " through something other than a copy "
-                                "chain");
+                                ", which no earlier operation defines");
                 }
                 if (operand.distance < 0 || operand.distance > kMaxIndex)
                     return fail(where + ": bad iteration distance");
@@ -158,48 +111,15 @@ buildKernel(const KernelDesc &desc, std::optional<Kernel> *out,
         Kernel kernel(desc.name);
         for (const KernelDesc::Blk &blk : desc.blocks)
             kernel.addBlock(blk.name, blk.isLoop);
-        // Forward references replay with the copy chain's root value
-        // (same data by construction) and are retargeted to the real
-        // value once every operation exists.
-        struct Fixup
-        {
-            std::uint32_t op;
-            int slot;
-            std::uint32_t value;
-        };
-        std::vector<Fixup> fixups;
-        for (std::size_t i = 0; i < desc.ops.size(); ++i) {
-            const KernelDesc::Op &op = desc.ops[i];
-            std::vector<Operand> operands = op.operands;
-            std::int64_t defined =
-                static_cast<std::int64_t>(kernel.numValues());
-            for (std::size_t s = 0; s < operands.size(); ++s) {
-                Operand &operand = operands[s];
-                if (operand.kind != Operand::Kind::Value)
-                    continue;
-                std::int64_t index = operand.value.index();
-                if (index < defined)
-                    continue;
-                fixups.push_back(
-                    {static_cast<std::uint32_t>(i),
-                     static_cast<int>(s),
-                     static_cast<std::uint32_t>(index)});
-                operand.value = ValueId(static_cast<std::uint32_t>(
-                    resolveForward(index, defined)));
-            }
+        for (const KernelDesc::Op &op : desc.ops) {
             OperationId id = kernel.addOperation(
                 BlockId(static_cast<std::uint32_t>(op.block)),
-                static_cast<Opcode>(op.opcode), std::move(operands),
-                op.name);
+                static_cast<Opcode>(op.opcode), op.operands, op.name);
             if (op.aliasClass != -1 || op.iterStride != 0) {
                 kernel.setOpAnnotations(id,
                                         static_cast<int>(op.aliasClass),
                                         static_cast<int>(op.iterStride));
             }
-        }
-        for (const Fixup &fixup : fixups) {
-            kernel.retargetUse(OperationId(fixup.op), fixup.slot,
-                               ValueId(fixup.value));
         }
         for (std::size_t b = 0; b < desc.blockOps.size(); ++b) {
             if (desc.blockOps[b].empty())

@@ -4,13 +4,14 @@
  * round-trip exactly (DESIGN.md §5f).
  *
  * Both formats replay Kernel::addOperation in operation-id order, which
- * reproduces identical operation ids, value ids, use lists, and names —
- * the builder API cannot forward-reference values, so replay in id
- * order is always well-formed for a valid description. The binary
- * format additionally records each block's operation order, because
- * copy insertion places copies before their earliest consumer; the text
- * format nests operations inside their blocks and therefore targets
- * pre-scheduling descriptions (where block order equals id order).
+ * reproduces identical operation ids, value ids, use lists, and names.
+ * The builder API cannot forward-reference values, so replay in id
+ * order is always well-formed for a valid description; an operand
+ * that names a value no earlier operation defines is refused. The
+ * binary format additionally records each block's operation order,
+ * so a kernel whose block order differs from id order round-trips;
+ * the text format nests operations inside their blocks and therefore
+ * targets descriptions where block order equals id order.
  *
  * Parsers never crash on malformed input: opcode arity, value
  * references, block ids, and numeric ranges are validated before any

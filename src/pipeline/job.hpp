@@ -89,7 +89,13 @@ struct JobResult
     int length = 0;
     /** Copy operations the scheduler inserted. */
     int copiesInserted = 0;
-    /** The schedule itself (kernel with copies, placements, routes). */
+    /**
+     * The schedule itself (kernel with copies, placements, routes) and
+     * the scheduler's counters, for a result scheduled in this process
+     * (memory-tier hits included). A disk-tier hit keeps only success,
+     * cancelled and failure here; its kernel, schedule and counters
+     * are empty (pipeline/result_io.hpp).
+     */
     ScheduleResult sched;
     /** Violations from the independent validator (empty = verified). */
     std::vector<std::string> verifierErrors;

@@ -242,13 +242,8 @@ PersistentScheduleCache::lookup(std::uint64_t key, bool countMiss)
     // degrades to a miss.
     std::vector<std::uint8_t> record;
     auto result = std::make_shared<JobResult>();
-    bool ok = readRecord(shard.fd, offset, length, record);
-    if (ok) {
-        wire::ByteReader reader(
-            std::span<const std::uint8_t>(record.data(), length));
-        ok = decodeJobResult(reader, result.get()) && reader.atEnd();
-    }
-    if (!ok) {
+    if (!readRecord(shard.fd, offset, length, record) ||
+        !decodeJobResult({record.data(), length}, result.get())) {
         shard.index.erase(it);
         counters_.bump(counter("cache.disk.read_errors"));
         if (countMiss)

@@ -10,7 +10,8 @@
  *   magic   u32  (0x43535243, "CSRC")
  *   key     u64  content hash (scheduleJobKey)
  *   length  u32  payload byte count
- *   payload      encodeJobResult bytes
+ *   payload      encodeJobResult bytes: what a reply reads of the
+ *                result (pipeline/result_io.hpp)
  *   check   u64  FNV-1a over the payload
  *
  * Index: open reads the records in order with pread(2), one at a time,
@@ -102,7 +103,10 @@ class PersistentScheduleCache
      * Memory tier first, then disk; null on a miss. A memory hit is
      * the shared stored result. A disk hit validates and decodes the
      * record once into a new shared result and promotes that pointer
-     * into the memory tier. Counts one hit or miss on the tier that
+     * into the memory tier. A decoded result holds the reply fields
+     * only: its sched keeps success, cancelled and failure, with an
+     * empty kernel, schedule and counter set, while an inserted one
+     * is kept whole in memory. Counts one hit or miss on the tier that
      * answered (a disk hit counts a memory miss too: per-tier counters
      * stay truthful); with @p countMiss false, no tier counts a miss.
      */

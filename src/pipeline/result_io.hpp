@@ -1,31 +1,43 @@
 /**
  * @file
- * Binary serialization of complete JobResults for the persistent
- * schedule cache (pipeline/persistent_cache.hpp). The *full* result is
- * stored — kernel with inserted copies, placements, routes, counters,
- * listing — so a disk hit is indistinguishable from a memory hit.
+ * Binary serialization of the reply part of a JobResult, the payload
+ * of a persistent schedule-cache record (pipeline/persistent_cache.hpp).
+ * A record holds what a reply, a batch row or a sweep row reads: the
+ * summary fields, the listing, the verifier errors, and the
+ * scheduler's success, cancelled and failure fields. A decoded result
+ * therefore equals the stored one in everything a reply reads, but its
+ * sched has an empty kernel, schedule and counter set.
  *
- * Decoding validates every id against the decoded kernel before
- * touching BlockSchedule (cache files are checksummed, but a torn or
- * hand-edited record must degrade to a miss, never a crash).
+ * Version 2 is the first part of version 1, cut after sched.failure:
+ * version 1 went on with the scheduled kernel, its counters, its
+ * placements and its routes. The decoder reads both versions and
+ * ignores the rest of a version-1 record.
  */
 
 #ifndef CS_PIPELINE_RESULT_IO_HPP
 #define CS_PIPELINE_RESULT_IO_HPP
+
+#include <cstdint>
+#include <span>
+#include <string>
 
 #include "pipeline/job.hpp"
 #include "support/wire.hpp"
 
 namespace cs {
 
-/** Append the binary form of @p result to the writer. */
+/** Append the version-2 record of @p result to the writer. */
 void encodeJobResult(wire::ByteWriter &writer, const JobResult &result);
 
 /**
- * Decode one JobResult. On failure the reader latches a diagnostic and
- * false is returned; @p out is left in an unspecified state.
+ * Decode the one record that @p record holds, of either version. A
+ * version-2 record must end after sched.failure. The fields a record
+ * does not hold (sched.kernel, sched.schedule, sched.stats) are left
+ * as they are in @p out. On failure false is returned, @p error (when
+ * not null) says why, and @p out is left in an unspecified state.
  */
-bool decodeJobResult(wire::ByteReader &reader, JobResult *out);
+bool decodeJobResult(std::span<const std::uint8_t> record, JobResult *out,
+                     std::string *error = nullptr);
 
 } // namespace cs
 

@@ -39,7 +39,7 @@ double maxOf(const std::vector<double> &values);
 /**
  * Every counter, declared once, in byte order: a counter is its index
  * here, so sets iterate in name order and no writer sorts. Names are
- * attached only where JSON or a disk record is written.
+ * attached only where JSON is written.
  */
 inline constexpr std::string_view kCounterNames[] = {
     "attempt_budget_exhausted",
@@ -133,7 +133,6 @@ inline constexpr std::string_view kCounterNames[] = {
     "stub_retargets",
     "table_acquires",
     "table_releases",
-    "write_perm_bus_prechecks",
     "write_perm_failures",
     "write_perms_found",
 };
@@ -169,8 +168,8 @@ counter(std::string_view head, std::string_view tail = {})
     throw "counter not declared in kCounterNames";
 }
 
-/** The counter named @p name, looked up at run time (disk records,
- *  tests, benches); nullopt when @p name is not declared. */
+/** The counter named @p name, looked up at run time (tests,
+ *  benches); nullopt when @p name is not declared. */
 std::optional<CounterId> findCounter(std::string_view name);
 
 /** Every declared counter, in name order. */

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <memory>
 #include <random>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "pipeline/persistent_cache.hpp"
 #include "pipeline/pipeline.hpp"
 #include "pipeline/result_io.hpp"
+#include "support/fnv.hpp"
 #include "support/logging.hpp"
 #include "support/metrics.hpp"
 
@@ -411,43 +413,6 @@ TEST(CacheCounterEmitters, SharedWritersMatchHandCounts)
               "\"write_errors\":0,\"writes\":9}");
 }
 
-TEST(ResultIo, RoundTripPreservesEveryField)
-{
-    const JobResult &original = *sampleResult();
-    std::vector<std::uint8_t> bytes;
-    wire::ByteWriter writer(bytes);
-    encodeJobResult(writer, original);
-
-    wire::ByteReader reader(bytes);
-    JobResult decoded;
-    ASSERT_TRUE(decodeJobResult(reader, &decoded)) << reader.error();
-    EXPECT_TRUE(reader.atEnd());
-    EXPECT_EQ(decoded.success, original.success);
-    EXPECT_EQ(decoded.ii, original.ii);
-    EXPECT_EQ(decoded.length, original.length);
-    EXPECT_EQ(decoded.copiesInserted, original.copiesInserted);
-    EXPECT_EQ(decoded.listing, original.listing);
-    EXPECT_EQ(decoded.verifierErrors, original.verifierErrors);
-
-    // Re-encoding the decoded result reproduces the bytes: the codec
-    // is a bijection on valid records.
-    std::vector<std::uint8_t> again;
-    wire::ByteWriter rewriter(again);
-    encodeJobResult(rewriter, decoded);
-    EXPECT_EQ(again, bytes);
-}
-
-/** Every listed counter of @p stats, in name order. */
-std::vector<std::pair<std::string, std::uint64_t>>
-listedCounters(const CounterSet &stats)
-{
-    std::vector<std::pair<std::string, std::uint64_t>> out;
-    stats.forEach([&out](std::string_view name, std::uint64_t value) {
-        out.emplace_back(name, value);
-    });
-    return out;
-}
-
 /** The Figure-4 motivating kernel block-scheduled on @p machine, as
  *  the hex fixtures in tests/ hold it (wallMs zeroed). */
 JobResult
@@ -480,6 +445,41 @@ encodeRecord(const JobResult &result)
     wire::ByteWriter writer(bytes);
     encodeJobResult(writer, result);
     return bytes;
+}
+
+/** One shard record holding @p payload under @p key. */
+std::vector<std::uint8_t>
+shardRecord(std::uint64_t key, const std::vector<std::uint8_t> &payload)
+{
+    std::vector<std::uint8_t> record;
+    wire::appendU32le(record, kShardRecordMagic);
+    wire::appendU64le(record, key);
+    wire::appendU32le(record, static_cast<std::uint32_t>(payload.size()));
+    record.insert(record.end(), payload.begin(), payload.end());
+    wire::appendU64le(record, fnv1aBytes(payload.data(), payload.size()));
+    return record;
+}
+
+/** Every field a result record holds is equal. */
+void
+expectSameReply(const JobResult &decoded, const JobResult &expected)
+{
+    EXPECT_EQ(decoded.success, expected.success);
+    EXPECT_EQ(decoded.cacheHit, expected.cacheHit);
+    EXPECT_EQ(decoded.cancelled, expected.cancelled);
+    EXPECT_EQ(decoded.ii, expected.ii);
+    EXPECT_EQ(decoded.resMii, expected.resMii);
+    EXPECT_EQ(decoded.recMii, expected.recMii);
+    EXPECT_EQ(decoded.iiAttempts, expected.iiAttempts);
+    EXPECT_EQ(decoded.iiAttemptsWasted, expected.iiAttemptsWasted);
+    EXPECT_EQ(decoded.length, expected.length);
+    EXPECT_EQ(decoded.copiesInserted, expected.copiesInserted);
+    EXPECT_EQ(decoded.wallMs, expected.wallMs);
+    EXPECT_EQ(decoded.listing, expected.listing);
+    EXPECT_EQ(decoded.verifierErrors, expected.verifierErrors);
+    EXPECT_EQ(decoded.sched.success, expected.sched.success);
+    EXPECT_EQ(decoded.sched.cancelled, expected.sched.cancelled);
+    EXPECT_EQ(decoded.sched.failure, expected.sched.failure);
 }
 
 /** The bytes of tests/@p name, a hex dump whose '#' lines are
@@ -575,74 +575,168 @@ TEST(PersistentCache, OpensShardWithIndexFooterFromOlderBuild)
     EXPECT_EQ(owner.diskStats().readErrors, 0u);
 }
 
-TEST(ResultIo, DecodesRecordsWithRetiredCounters)
+TEST(PersistentCache, ServesVersion1AndVersion2RecordsInOneShard)
 {
-    // A record encoded before comm_sched_calls and
-    // comm_sched_rejections were retired.
-    std::vector<std::uint8_t> bytes = hexFixture("result_record_v1.hex");
-    ASSERT_FALSE(bytes.empty()) << "missing tests/result_record_v1.hex";
-    std::string raw(bytes.begin(), bytes.end());
-    ASSERT_NE(raw.find("comm_sched_calls"), std::string::npos);
-    ASSERT_NE(raw.find("comm_sched_rejections"), std::string::npos);
-
-    wire::ByteReader reader(bytes);
-    JobResult decoded;
-    ASSERT_TRUE(decodeJobResult(reader, &decoded)) << reader.error();
-    EXPECT_TRUE(reader.atEnd());
-
-    // The retired names are skipped; every surviving counter, and the
-    // schedule, equal a fresh run's.
+    // A shard an older build began, with its version-1 record (the
+    // fixture) under key 1, to which this build appends a version-2
+    // record under key 2.
+    const std::vector<std::uint8_t> v1 = hexFixture("result_record_v1.hex");
+    ASSERT_FALSE(v1.empty()) << "missing tests/result_record_v1.hex";
+    std::string dir = freshCacheDir("cache_v1_then_v2");
+    const fs::path file = fs::path(dir) / "shard-0.bin";
+    {
+        std::vector<std::uint8_t> shard = shardRecord(1, v1);
+        std::ofstream out(file, std::ios::binary);
+        out.write(reinterpret_cast<const char *>(shard.data()),
+                  static_cast<std::streamsize>(shard.size()));
+    }
     static const Machine figure5 = makeFigure5Machine();
-    JobResult fresh = figure4Result(figure5);
-    ASSERT_TRUE(fresh.success);
-    EXPECT_EQ(decoded.listing, fresh.listing);
-    EXPECT_EQ(listedCounters(decoded.sched.stats),
-              listedCounters(fresh.sched.stats));
-    EXPECT_GT(decoded.sched.stats.get("placement_attempts"), 0u);
+    static const Machine central = makeCentral();
+    const JobResult first = figure4Result(figure5);
+    const auto second =
+        std::make_shared<const JobResult>(figure4Result(central));
+    ASSERT_NE(first.listing, second->listing);
+    {
+        PersistentScheduleCache appender(16, dir, 1);
+        ASSERT_EQ(appender.diskStats().loadedEntries, 1u);
+        appender.insert(2, second);
+        ASSERT_EQ(appender.diskStats().writes, 1u);
+    }
 
-    // Re-encoded, the old record is the fresh one byte for byte: the
-    // format is unchanged but for the two retired names.
-    EXPECT_EQ(encodeRecord(decoded), encodeRecord(fresh));
+    auto servesBoth = [&](PersistentScheduleCache &cache) {
+        std::shared_ptr<const JobResult> one = cache.lookup(1);
+        std::shared_ptr<const JobResult> two = cache.lookup(2);
+        ASSERT_NE(one, nullptr);
+        ASSERT_NE(two, nullptr);
+        EXPECT_EQ(one->listing, first.listing);
+        EXPECT_EQ(two->listing, second->listing);
+        PersistentScheduleCache::DiskStats disk = cache.diskStats();
+        EXPECT_EQ(disk.loadedEntries, 2u);
+        EXPECT_EQ(disk.hits, 2u);
+        EXPECT_EQ(disk.readErrors, 0u);
+    };
+    {
+        PersistentScheduleCache owner(16, dir, 1);
+        EXPECT_EQ(owner.diskStats().ownedShards, 1u);
+        servesBoth(owner);
+    }
+    {
+        // A live owner holds the flock, so this opener is read-only.
+        int holder = ::open(file.c_str(), O_RDWR | O_CLOEXEC);
+        ASSERT_GE(holder, 0);
+        ASSERT_EQ(::flock(holder, LOCK_EX | LOCK_NB), 0);
+        PersistentScheduleCache reader(16, dir, 1);
+        EXPECT_EQ(reader.diskStats().ownedShards, 0u);
+        servesBoth(reader);
+        ::close(holder);
+    }
+
+    // The decoder skips the version-1 record's schedule tail, but the
+    // checksum still covers it: one byte flipped there after the open
+    // turns the lookup into a read error and a miss.
+    PersistentScheduleCache owner(16, dir, 1);
+    ASSERT_EQ(owner.diskStats().loadedEntries, 2u);
+    const std::size_t tail =
+        kShardRecordHeaderBytes + encodeRecord(first).size() + 4;
+    ASSERT_LT(tail, kShardRecordHeaderBytes + v1.size());
+    {
+        std::fstream f(file, std::ios::binary | std::ios::in |
+                                 std::ios::out);
+        char byte = 0;
+        f.seekg(static_cast<std::streamoff>(tail));
+        f.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0x5a);
+        f.seekp(static_cast<std::streamoff>(tail));
+        f.write(&byte, 1);
+    }
+    EXPECT_EQ(owner.lookup(1), nullptr);
+    PersistentScheduleCache::DiskStats disk = owner.diskStats();
+    EXPECT_EQ(disk.readErrors, 1u);
+    EXPECT_EQ(disk.misses, 1u);
+    EXPECT_EQ(disk.hits, 0u);
+    EXPECT_NE(owner.lookup(2), nullptr);
 }
 
-TEST(ResultIo, SkipsUndeclaredCounterNames)
+TEST(ResultIo, RoundTripPreservesEveryField)
 {
-    // Rename dfs_nodes in place to a name no build declares; the same
-    // length keeps the record well-formed.
-    std::vector<std::uint8_t> bytes = encodeRecord(*sampleResult());
-    const std::string from = "dfs_nodes";
-    const std::string to = "xfs_nodes";
-    auto at = std::search(bytes.begin(), bytes.end(), from.begin(),
-                          from.end());
-    ASSERT_NE(at, bytes.end());
-    std::copy(to.begin(), to.end(), at);
+    // A scheduled result, and one with every field away from its
+    // default.
+    JobResult synthetic;
+    synthetic.cacheHit = true;
+    synthetic.cancelled = true;
+    synthetic.ii = 7;
+    synthetic.resMii = 5;
+    synthetic.recMii = 6;
+    synthetic.iiAttempts = 4;
+    synthetic.iiAttemptsWasted = 3;
+    synthetic.length = 21;
+    synthetic.copiesInserted = 2;
+    synthetic.wallMs = 1.25;
+    synthetic.listing = "cycle 0:\n";
+    synthetic.verifierErrors = {"first", "second"};
+    synthetic.sched.cancelled = true;
+    synthetic.sched.failure = "cancelled";
+    const JobResult *originals[] = {sampleResult().get(), &synthetic};
+    for (const JobResult *original : originals) {
+        std::vector<std::uint8_t> bytes = encodeRecord(*original);
+        JobResult decoded;
+        std::string error;
+        ASSERT_TRUE(decodeJobResult(bytes, &decoded, &error)) << error;
+        expectSameReply(decoded, *original);
+        // Re-encoding the decoded result reproduces the bytes: the
+        // codec is a bijection on valid records.
+        EXPECT_EQ(encodeRecord(decoded), bytes);
 
-    wire::ByteReader reader(bytes);
+        // A version-2 record ends after sched.failure.
+        bytes.push_back(0);
+        EXPECT_FALSE(decodeJobResult(bytes, &decoded, &error));
+        EXPECT_FALSE(error.empty());
+    }
+
+    // What no reply reads stays out of the record.
     JobResult decoded;
-    ASSERT_TRUE(decodeJobResult(reader, &decoded)) << reader.error();
-    EXPECT_TRUE(reader.atEnd());
-    EXPECT_EQ(decoded.listing, sampleResult()->listing);
-    EXPECT_GT(sampleResult()->sched.stats.get("dfs_nodes"), 0u);
+    ASSERT_TRUE(decodeJobResult(encodeRecord(*sampleResult()), &decoded));
+    EXPECT_GT(sampleResult()->sched.kernel.numOperations(), 0u);
+    EXPECT_EQ(decoded.sched.kernel.numOperations(), 0u);
+    EXPECT_TRUE(decoded.sched.schedule.routes().empty());
     EXPECT_EQ(decoded.sched.stats.get("dfs_nodes"), 0u);
-    CounterSet expected = sampleResult()->sched.stats;
-    expected[counter("dfs_nodes")] = 0;
-    EXPECT_EQ(listedCounters(decoded.sched.stats),
-              listedCounters(expected));
+}
+
+TEST(ResultIo, Version2IsThePrefixOfVersion1)
+{
+    // The fixture is a version-1 record of the Figure-4 kernel on the
+    // Figure-5 machine. Apart from the version word, the version-2
+    // record of a fresh run is its first part, cut after
+    // sched.failure.
+    const std::vector<std::uint8_t> v1 = hexFixture("result_record_v1.hex");
+    ASSERT_FALSE(v1.empty()) << "missing tests/result_record_v1.hex";
+    static const Machine figure5 = makeFigure5Machine();
+    const JobResult fresh = figure4Result(figure5);
+    ASSERT_TRUE(fresh.success);
+    const std::vector<std::uint8_t> v2 = encodeRecord(fresh);
+    ASSERT_LT(v2.size(), v1.size());
+    EXPECT_EQ(wire::loadU32le(v1.data()), 1u);
+    EXPECT_EQ(wire::loadU32le(v2.data()), 2u);
+    EXPECT_TRUE(std::equal(v2.begin() + 4, v2.end(), v1.begin() + 4));
+
+    // The fixture still decodes to the fresh run's reply fields and
+    // listing; the rest of it is skipped.
+    JobResult decoded;
+    std::string error;
+    ASSERT_TRUE(decodeJobResult(v1, &decoded, &error)) << error;
+    expectSameReply(decoded, fresh);
+    EXPECT_EQ(decoded.sched.kernel.numOperations(), 0u);
 }
 
 TEST(ResultIo, TruncatedAndFlippedRecordsNeverCrash)
 {
-    std::vector<std::uint8_t> bytes;
-    wire::ByteWriter writer(bytes);
-    encodeJobResult(writer, *sampleResult());
+    const std::vector<std::uint8_t> bytes = encodeRecord(*sampleResult());
 
     for (std::size_t length = 0; length < bytes.size();
          length += 1 + bytes.size() / 256) {
-        std::vector<std::uint8_t> truncated(
-            bytes.begin(), bytes.begin() + static_cast<long>(length));
-        wire::ByteReader reader(truncated);
         JobResult out;
-        EXPECT_FALSE(decodeJobResult(reader, &out));
+        EXPECT_FALSE(decodeJobResult(
+            std::span<const std::uint8_t>(bytes.data(), length), &out));
     }
 
     std::mt19937 rng(0xD15C);
@@ -653,9 +747,8 @@ TEST(ResultIo, TruncatedAndFlippedRecordsNeverCrash)
         int edits = 1 + round % 4;
         for (int e = 0; e < edits; ++e)
             mutated[pos(rng)] = static_cast<std::uint8_t>(byte(rng));
-        wire::ByteReader reader(mutated);
         JobResult out;
-        (void)decodeJobResult(reader, &out); // must not crash
+        (void)decodeJobResult(mutated, &out); // must not crash
     }
 }
 

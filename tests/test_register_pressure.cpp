@@ -134,8 +134,8 @@ TEST(Pressure, OverflowDetectedAndSpillsPlanned)
     PressureReport report = analyzeRegisterPressure(
         sched.kernel, machine, sched.schedule);
     EXPECT_FALSE(report.fits());
-    // Central has nowhere to spill to: planning must fail loudly.
-    EXPECT_THROW(planSpills(machine, report), FatalError);
+    // Central has nowhere to spill to: the planner says so.
+    EXPECT_FALSE(planSpills(machine, report).has_value());
 }
 
 TEST(Pressure, SpillPlanParksInReachableFiles)
@@ -165,7 +165,9 @@ TEST(Pressure, SpillPlanParksInReachableFiles)
     }
     report.overflows.push_back(hot);
 
-    auto plan = planSpills(machine, report);
+    auto planned = planSpills(machine, report);
+    ASSERT_TRUE(planned.has_value());
+    const std::vector<SpillPlan> &plan = *planned;
     ASSERT_EQ(plan.size(), 2u);
     for (const SpillPlan &spill : plan) {
         EXPECT_EQ(spill.from, hot);

@@ -146,8 +146,8 @@ pinnedCounterNames()
             "prune_read_bus",    "prune_write_bus",
             "prune_route_mask",  "perm_backtracks",
             "perm_budget_exhausted", "read_perms_found",
-            "write_perms_found", "write_perm_bus_prechecks",
-            "copies_inserted",   "copies_unwound"};
+            "write_perms_found", "copies_inserted",
+            "copies_unwound"};
         for (const char *reason : kRejectReasonNames)
             out.push_back(std::string("reject.") + reason);
         return out;

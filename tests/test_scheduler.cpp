@@ -2,11 +2,14 @@
  * @file
  * Focused scheduler tests: the motivating example's structure, copy
  * insertion and reuse, retargeting, ablation switches (Section 4.6),
- * and modulo-scheduling bounds.
+ * modulo-scheduling bounds, and the count of a cancelled run.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "core/comm_scheduler.hpp"
 #include "core/conventional_scheduler.hpp"
 #include "core/list_scheduler.hpp"
 #include "core/modulo_scheduler.hpp"
@@ -244,6 +247,24 @@ TEST(Stats, DistributedSchedulesWithoutBacktrackingPathologies)
                   0u)
             << spec.name;
     }
+}
+
+TEST(Scheduler, AbortRaisedBeforeTheRunIsCountedOnce)
+{
+    // The abort latch notes reject.aborted once, when it first sees
+    // the flag raised; the run then unwinds as cancelled.
+    Machine machine = makeFigure5Machine();
+    std::atomic<bool> abort{true};
+    BlockScheduler scheduler(motivatingKernel(), BlockId(0), machine,
+                             SchedulerOptions{}, 0);
+    scheduler.setAbortFlag(&abort);
+    ScheduleResult result = scheduler.run();
+
+    EXPECT_FALSE(result.success);
+    EXPECT_TRUE(result.cancelled);
+    EXPECT_EQ(result.failure, "cancelled");
+    EXPECT_EQ(result.stats.get("reject.aborted"), 1u);
+    EXPECT_EQ(result.stats.get("ops_scheduled"), 0u);
 }
 
 TEST(Scheduler, RejectsInfeasibleWindow)

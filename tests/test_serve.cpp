@@ -1278,6 +1278,56 @@ TEST(Serve, TwoDaemonsShareCacheDirectoryViaFlock)
     c.stop();
 }
 
+TEST(Serve, FailedJobRepliesTheSameFromTheDiskTier)
+{
+    // A job that fails deterministically: Block Warp, pipelined on
+    // clustered(2), wins at II 4 above its MII of 3, so a search with
+    // no slack past the MII finds nothing. The failure is cached like
+    // any result, and after a restart on the same cache directory the
+    // disk tier's reply carries the same status, success and message.
+    setVerboseLogging(false);
+    const std::string dir = freshCacheDir("cs_serve_failure_restart");
+    serve::JobSet set;
+    set.machines.push_back(makeClustered({}, 2));
+    set.kernels.push_back(kernelByName("Block Warp").build());
+    serve::JobDescription job;
+    job.label = "Block Warp";
+    job.pipelined = true;
+    job.maxIiSlack = 0;
+    set.jobs.push_back(std::move(job));
+
+    auto ask = [&](const char *tag, serve::Response *response,
+                   CounterSet *stats) {
+        serve::ServerConfig config = baseConfig(testSocketPath(tag));
+        config.cacheDirectory = dir;
+        serve::ScheduleServer server(config);
+        ASSERT_TRUE(server.start());
+        serve::ScheduleClient client;
+        std::string error;
+        ASSERT_TRUE(client.connect(config.socketPath, &error)) << error;
+        ASSERT_TRUE(client.schedule(set, 0, response, &error)) << error;
+        *stats = server.counterSnapshot();
+        server.stop();
+    };
+    serve::Response cold;
+    CounterSet coldStats;
+    ask("failure_cold", &cold, &coldStats);
+    ASSERT_EQ(cold.status, serve::ResponseStatus::Error) << cold.message;
+    EXPECT_FALSE(cold.success);
+    EXPECT_FALSE(cold.cacheHit);
+    EXPECT_FALSE(cold.message.empty());
+    EXPECT_EQ(coldStats.get("cache.disk.writes"), 1u);
+
+    serve::Response warm;
+    CounterSet warmStats;
+    ask("failure_warm", &warm, &warmStats);
+    EXPECT_EQ(warmStats.get("cache.disk.hits"), 1u);
+    EXPECT_TRUE(warm.cacheHit);
+    EXPECT_EQ(warm.status, cold.status);
+    EXPECT_EQ(warm.success, cold.success);
+    EXPECT_EQ(warm.message, cold.message);
+}
+
 TEST(Serve, OwnershipFailoverPromotesSurvivorDaemon)
 {
     setVerboseLogging(false);
